@@ -6,6 +6,8 @@ This bench exercises the post-paper continuation at waveform level: a
 rate ladder the registry's 802.11ac entry is built from.
 """
 
+import time
+
 from repro.core.link import LinkSimulator
 
 SNRS = [16.0, 24.0, 32.0, 40.0]
@@ -74,3 +76,52 @@ def test_bench_vht_wide_channel_ladder(benchmark, report):
                                   "vht160-9")]
     assert all(b > 1.9 * a for a, b in zip(widths, widths[1:]))
     assert all(per == 0.0 for _, per in out.values())
+
+
+#: SNRs spanning the ht-7 (64-QAM 5/6) knee on AWGN.
+HT_SNRS = [18.0, 20.0, 22.0]
+
+
+def _ht_waterfall_timed(vectorized):
+    sim = LinkSimulator("ht-7", "awgn", rng=17)
+    t0 = time.perf_counter()
+    counts = [(r.n_packet_errors, r.n_bit_errors)
+              for r in (sim.run(snr, n_packets=8, payload_bytes=1000,
+                                vectorized=vectorized) for snr in HT_SNRS)]
+    return time.perf_counter() - t0, counts
+
+
+def test_bench_ht_batching_speedup(benchmark, report):
+    """Batched HT receive (one Viterbi sweep per MC batch) vs per-packet.
+
+    Both paths draw payload, channel and noise in the same order and the
+    trellis rows are independent, so every error count must agree; the
+    batched path only amortises the Viterbi sweep over the batch.
+    """
+    _ht_waterfall_timed(True)  # warm the cached kernels before timing
+
+    def both():
+        t_scalar, counts_scalar = _ht_waterfall_timed(False)
+        t_batched, counts_batched = _ht_waterfall_timed(True)
+        return t_scalar, t_batched, counts_scalar, counts_batched
+
+    t_scalar, t_batched, counts_scalar, counts_batched = benchmark.pedantic(
+        both, rounds=1, iterations=1
+    )
+    speedup = t_scalar / t_batched
+    report(
+        "E25c: batched HT receive vs per-packet simulation (ht-7, AWGN)",
+        [f"per-packet {t_scalar:.3f} s for 3 SNRs x 8 packets x 1000 B",
+         f"batched    {t_batched:.3f} s  ->  {speedup:.2f}x single-core",
+         "packet and bit error counts identical at every SNR"],
+        metrics=[
+            {"name": "ht_scalar_waterfall", "value": t_scalar, "units": "s"},
+            {"name": "ht_batched_waterfall", "value": t_batched,
+             "units": "s"},
+            {"name": "ht_batching_speedup", "value": speedup, "units": "x"},
+        ],
+    )
+    assert counts_scalar == counts_batched
+    # Loose CI floor; on a 2-vCPU host with numpy kernels it runs ~3x.
+    assert speedup >= 1.5
+

@@ -54,6 +54,10 @@ from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 
 
+#: Seconds between worker-liveness checks in :func:`run_local_queue`.
+REAP_INTERVAL_S = 0.2
+
+
 @dataclass(frozen=True)
 class WorkUnit:
     """One leasable batch of points.
@@ -453,11 +457,20 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
         update_board()
 
     try:
+        # Liveness runs on a clock, not on idleness: survivors that
+        # message faster than the reap interval (heartbeats, a stream of
+        # quick records) would otherwise keep the inbox busy and a dead
+        # worker's lease would never be requeued.
+        next_reap = time.monotonic() + REAP_INTERVAL_S
         while remaining:
             try:
-                handle(inbox.get(timeout=0.2))
+                handle(inbox.get(
+                    timeout=max(next_reap - time.monotonic(), 0.0)))
             except stdlib_queue.Empty:
+                pass
+            if time.monotonic() >= next_reap:
                 reap_dead()
+                next_reap = time.monotonic() + REAP_INTERVAL_S
                 if not procs:
                     break  # every executor (and replacement) is gone
         # Records can still be buffered in the pipe when the loop exits

@@ -282,12 +282,8 @@ class LinkSimulator:
     def _send_packet(self, payload, snr_db):
         """Returns (bit_errors, packet_error) for one payload transmission."""
         sent_bits = bits_from_bytes(payload)
-        if self._kind == "chips":
+        if self._kind in ("chips", "fhss"):
             tx = self._phy.modulate(sent_bits)
-        elif self._kind == "fhss":
-            tx = self._phy.modulate(sent_bits)
-        elif self._kind == "ofdm":
-            tx = self._phy.transmit(payload)
         else:
             tx = self._phy.transmit(payload)
         rx = self._apply_channel(tx)
@@ -329,7 +325,7 @@ class LinkSimulator:
     # -- batched packets ----------------------------------------------------
 
     def _send_packet_batch(self, rng, m, payload_bytes, snr_db):
-        """One vectorized PHY invocation covering ``m`` OFDM packets.
+        """One vectorized PHY invocation covering ``m`` OFDM or HT packets.
 
         Per packet the generator is consumed in exactly the scalar trial's
         order — payload bytes, then the channel realisation, then the
@@ -360,23 +356,32 @@ class LinkSimulator:
             noise_raw[i] = (rng.normal(size=(self.n_rx, n))
                             + 1j * rng.normal(size=(self.n_rx, n)))
 
-        tx = self._phy.transmit_batch(payloads)  # (m, n)
+        # (m, n_tx, n): OFDM rows gain a unit antenna axis.
+        tx = self._phy.transmit_batch(payloads).reshape(m, self.n_tx, n)
         noise_var = np.empty(m)
-        rx = np.empty((m, n), dtype=np.complex128)
+        rx = np.empty((m, self.n_rx, n), dtype=np.complex128)
         for i in range(m):
             if self.channel_name == "awgn":
-                rx[i] = tx[i]
+                if self.n_rx == self.n_tx:
+                    rx[i] = tx[i]
+                else:
+                    # Receive diversity: the stream sum on each antenna.
+                    rx[i] = np.tile(tx[i].sum(axis=0), (self.n_rx, 1))
             elif tgn:
                 tdl, taps = channels[i]
-                rx[i] = tdl.apply(tx[i][None, :], taps)[0]
+                rx[i] = tdl.apply(tx[i], taps)
             else:
-                rx[i] = (channels[i] @ tx[i][None, :])[0]
-            # Same power convention as the scalar path (n_tx = 1 here).
-            noise_var[i] = float(np.mean(np.abs(tx[i][None, :]) ** 2))
+                rx[i] = channels[i] @ tx[i]
+            # Same power convention and operation order as the scalar path.
+            noise_var[i] = float(np.mean(np.abs(tx[i]) ** 2)) * self.n_tx
             noise_var[i] = noise_var[i] / snr_lin
-        rx += np.sqrt(noise_var / 2.0)[:, None] * noise_raw[:, 0, :]
+        rx += np.sqrt(noise_var / 2.0)[:, None, None] * noise_raw
 
-        psdus = self._phy.receive_batch(rx, noise_var)
+        if self._kind == "ofdm":
+            psdus = self._phy.receive_batch(rx[:, 0, :], noise_var)
+        else:
+            psdus = self._phy.receive_batch(rx, noise_var,
+                                            psdu_bytes=payload_bytes)
         obs.counter("link.packets", m)
         bit_sum = 0
         pkt_sum = 0
@@ -459,9 +464,10 @@ class LinkSimulator:
 
         ``vectorized`` selects the batched PHY path, which runs each MC
         batch of packets as one vectorized transmit/receive invocation
-        (default: on for OFDM PHYs, which support it; the per-packet RNG
-        draw order is preserved, so results are bit-identical either
-        way). Pass ``False`` to force the per-packet loop.
+        with a single Viterbi sweep (default: on for the OFDM and HT/VHT
+        PHYs, which support it; the per-packet RNG draw order is
+        preserved, so results are bit-identical either way). Pass
+        ``False`` to force the per-packet loop.
 
         ``analytic_floor`` enables the analytic fast path: when the
         union-bound PER at this point is at or below the floor, no
@@ -476,9 +482,8 @@ class LinkSimulator:
             snr_db, payload_bytes, analytic_floor, confidence)
         if shortcut is not None:
             return shortcut
-        if vectorized is None:
-            vectorized = self._kind == "ofdm"
-        vectorized = bool(vectorized) and self._kind == "ofdm"
+        vectorized = self._kind in ("ofdm", "ht") and (
+            vectorized is None or bool(vectorized))
 
         def trial(rng):
             payload = bytes(rng.integers(0, 256, payload_bytes,

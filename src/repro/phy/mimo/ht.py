@@ -227,25 +227,22 @@ class HtPhy:
     # -- stream parser -------------------------------------------------------
 
     def _parse_streams(self, coded_bits):
-        """Round-robin s-bit groups across streams (802.11n stream parser)."""
+        """Round-robin s-bit groups across streams (802.11n stream parser).
+
+        Works along the last axis: ``(..., n_coded)`` coded bits become
+        ``(..., n_ss, n_coded / n_ss)`` per-stream bits.
+        """
         s = max(self.mcs.bits_per_subcarrier // 2, 1)
-        groups = coded_bits.reshape(-1, s)
-        n_groups_per_stream = groups.shape[0] // self.n_ss
-        streams = np.empty((self.n_ss, n_groups_per_stream * s),
-                           dtype=coded_bits.dtype)
-        for k in range(self.n_ss):
-            streams[k] = groups[k :: self.n_ss].ravel()
-        return streams
+        lead = coded_bits.shape[:-1]
+        groups = coded_bits.reshape(*lead, -1, self.n_ss, s)
+        return np.swapaxes(groups, -3, -2).reshape(*lead, self.n_ss, -1)
 
     def _deparse_streams(self, streams):
         """Inverse of :meth:`_parse_streams` (operates on soft values too)."""
         s = max(self.mcs.bits_per_subcarrier // 2, 1)
-        n_groups_per_stream = streams.shape[1] // s
-        out = np.empty(streams.size, dtype=streams.dtype)
-        groups = out.reshape(-1, s)
-        for k in range(self.n_ss):
-            groups[k :: self.n_ss] = streams[k].reshape(n_groups_per_stream, s)
-        return out
+        lead = streams.shape[:-2]
+        groups = streams.reshape(*lead, self.n_ss, -1, s)
+        return np.swapaxes(groups, -3, -2).reshape(*lead, -1)
 
     # -- TX -------------------------------------------------------------------
 
@@ -261,17 +258,34 @@ class HtPhy:
             channel estimate covers the effective channel. Identity
             (direct mapping) when omitted.
         """
-        psdu = bytes(psdu)
-        n_sym = self.n_symbols(len(psdu))
-        n_data_bits = n_sym * self.n_dbps
-        payload = bits_from_bytes(psdu)
-        data = np.concatenate([
-            np.zeros(16, dtype=np.int8),
-            payload,
-            np.zeros(6 + n_data_bits - 16 - payload.size - 6, dtype=np.int8),
-        ])
+        return self._transmit_rows([bytes(psdu)], precoders)[0]
+
+    def transmit_batch(self, psdus):
+        """Build the waveforms for a batch of equal-length PSDUs.
+
+        Returns a ``(batch, n_tx, n_samples)`` complex array whose row
+        ``i`` is exactly ``transmit(psdus[i])``.
+        """
+        psdus = [bytes(p) for p in psdus]
+        if not psdus:
+            raise ConfigurationError("transmit_batch needs at least one PSDU")
+        if len({len(p) for p in psdus}) != 1:
+            raise ConfigurationError(
+                "transmit_batch requires equal-length PSDUs"
+            )
+        return self._transmit_rows(psdus, None)
+
+    def _transmit_rows(self, psdus, precoders):
+        """Encode + parse + modulate + IFFT a batch of same-length PSDUs."""
+        batch = len(psdus)
+        n_payload_bits = 8 * len(psdus[0])
+        n_sym = self.n_symbols(len(psdus[0]))
+        # SERVICE (16 zero bits) | payload | six tail zeros | pad zeros.
+        data = np.zeros((batch, n_sym * self.n_dbps), dtype=np.int8)
+        for row, psdu in enumerate(psdus):
+            data[row, 16 : 16 + n_payload_bits] = bits_from_bytes(psdu)
         scrambled = scramble(data, seed=self.scrambler_seed)
-        scrambled[16 + payload.size : 22 + payload.size] = 0
+        scrambled[:, 16 + n_payload_bits : 22 + n_payload_bits] = 0
         coded = cc.puncture(
             cc.encode(scrambled, terminate=False), rate=self.mcs.code_rate
         )
@@ -283,15 +297,22 @@ class HtPhy:
             streams, self.mcs.bits_per_subcarrier, self.bandwidth_mhz
         )
         carriers = self.modulator.modulate(inter).reshape(
-            self.n_ss, n_sym, self.n_data_sc
+            batch, self.n_ss, n_sym, self.n_data_sc
         ) * amp
         if precoders is not None:
-            carriers = np.einsum("cts,sic->tic", precoders, carriers)
-        n_out = carriers.shape[0]
+            carriers = np.stack([
+                np.einsum("cts,sic->tic", precoders, row) for row in carriers
+            ])
+        n_out = carriers.shape[1]
         data = self._ofdm_symbols(
-            carriers.reshape(n_out * n_sym, self.n_data_sc)
-        ).reshape(n_out, n_sym * self.symbol_samples)
-        return np.concatenate([self._ltf_symbols(precoders), data], axis=1)
+            carriers.reshape(batch * n_out * n_sym, self.n_data_sc)
+        ).reshape(batch, n_out, n_sym * self.symbol_samples)
+        ltf = self._ltf_symbols(precoders)
+        out = np.empty((batch, n_out, ltf.shape[1] + data.shape[2]),
+                       dtype=np.complex128)
+        out[:, :, : ltf.shape[1]] = ltf
+        out[:, :, ltf.shape[1] :] = data
+        return out
 
     # -- RX -------------------------------------------------------------------
 
@@ -328,13 +349,99 @@ class HtPhy:
         (carried by HT-SIG in the real standard) to truncate exactly.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
-        if samples.shape[0] != self.n_rx:
-            raise DemodulationError(
-                f"expected {self.n_rx} receive streams, got {samples.shape[0]}"
+        psdus, details, errors = self._receive_rows(
+            samples[None], np.array([noise_var], dtype=float), psdu_bytes
+        )
+        if errors[0] is not None:
+            raise errors[0]
+        if return_details:
+            return psdus[0], details[0]
+        return psdus[0]
+
+    def receive_batch(self, samples, noise_vars, psdu_bytes=None):
+        """Demodulate a batch of waveforms with one Viterbi sweep.
+
+        Parameters
+        ----------
+        samples : (batch, n_rx, n_samples) complex array
+            One received waveform per row.
+        noise_vars : array of float
+            Per-row complex noise variance per sample.
+        psdu_bytes : int or None
+            As for :meth:`receive`.
+
+        Returns
+        -------
+        list
+            Per row, the decoded PSDU ``bytes``, or ``None`` where
+            detection failed (the per-packet analogue of the
+            :class:`DemodulationError` :meth:`receive` raises). Shape
+            errors common to the whole batch still raise.
+        """
+        samples = np.asarray(samples, dtype=np.complex128)
+        if samples.ndim != 3:
+            raise ConfigurationError(
+                f"receive_batch expects a 3-D batch, got shape {samples.shape}"
             )
-        min_len = (self._n_ltf + 1) * self.symbol_samples
-        if samples.shape[1] < min_len:
+        noise_vars = np.broadcast_to(
+            np.asarray(noise_vars, dtype=float), (samples.shape[0],)
+        )
+        psdus, _, _ = self._receive_rows(samples, noise_vars, psdu_bytes)
+        return psdus
+
+    def _receive_rows(self, rows, noise_vars, psdu_bytes):
+        """Shared receiver over a (batch, n_rx, n_samples) block.
+
+        Each row runs its own front end (channel estimate, FFT,
+        detection, demap, deinterleave, deparse); the surviving rows
+        then share one Viterbi sweep. Returns parallel lists ``(psdus,
+        details, errors)``; a failed row has ``psdus[i] is None`` and
+        the would-be exception in ``errors[i]``.
+        """
+        if rows.shape[1] != self.n_rx:
+            raise DemodulationError(
+                f"expected {self.n_rx} receive streams, got {rows.shape[1]}"
+            )
+        if rows.shape[2] < (self._n_ltf + 1) * self.symbol_samples:
             raise DemodulationError("waveform shorter than training + 1 symbol")
+        n_sym = rows.shape[2] // self.symbol_samples - self._n_ltf
+        n_info = n_sym * self.n_dbps
+        n_bytes = (n_info - 16 - 6) // 8
+        if psdu_bytes is not None:
+            if psdu_bytes > n_bytes:
+                raise DemodulationError(
+                    f"waveform carries at most {n_bytes} bytes, "
+                    f"{psdu_bytes} requested"
+                )
+            n_bytes = psdu_bytes
+        batch = rows.shape[0]
+        psdus = [None] * batch
+        details = [None] * batch
+        errors = [None] * batch
+        soft = np.empty((batch, n_sym * self.n_cbps))
+        active = []
+        for i in range(batch):
+            try:
+                soft[i], h_data = self._soft_bits(rows[i], noise_vars[i], n_sym)
+            except DemodulationError as exc:
+                errors[i] = exc
+                continue
+            active.append(i)
+            details[i] = {"channel": h_data, "n_symbols": n_sym}
+        if not active:
+            return psdus, details, errors
+        decoded = cc.viterbi_decode(
+            soft[active], n_info, rate=self.mcs.code_rate, terminated=False,
+        )
+        payload_bits = scramble(decoded, seed=self.scrambler_seed)[
+            :, 16 : 16 + 8 * n_bytes
+        ]
+        for i, bits in zip(active, payload_bits):
+            psdus[i] = bytes_from_bits(bits)
+        return psdus, details, errors
+
+    def _soft_bits(self, samples, noise_var, n_sym):
+        """One row's front end: ``(soft coded bits, data-carrier channel)``."""
         h_all = self.estimate_channel(
             samples[:, : self._n_ltf * self.symbol_samples]
         )
@@ -344,7 +451,6 @@ class HtPhy:
         data_rows = np.array([used_pos[b] for b in self._data_bins])
         h_data = h_all[data_rows] / np.sqrt(self.n_ss)  # (n_data_sc, nr, nss)
 
-        n_sym = (samples.shape[1] // self.symbol_samples) - self._n_ltf
         carrier_nv = noise_var * self.n_used / self.fft_size
         cursor = self._n_ltf * self.symbol_samples
         bpsc = self.mcs.bits_per_subcarrier
@@ -385,25 +491,7 @@ class HtPhy:
         soft_streams = ht_deinterleave(
             llr_all, bpsc, self.bandwidth_mhz
         ).reshape(self.n_ss, n_sym * self.n_cbpss)
-        soft = self._deparse_streams(soft_streams)
-        decoded = cc.viterbi_decode(
-            soft, n_sym * self.n_dbps, rate=self.mcs.code_rate,
-            terminated=False,
-        )
-        descrambled = scramble(decoded, seed=self.scrambler_seed)
-        payload_bits = descrambled[16:]
-        n_bytes = (payload_bits.size - 6) // 8
-        if psdu_bytes is not None:
-            if psdu_bytes > n_bytes:
-                raise DemodulationError(
-                    f"waveform carries at most {n_bytes} bytes, "
-                    f"{psdu_bytes} requested"
-                )
-            n_bytes = psdu_bytes
-        psdu = bytes_from_bits(payload_bits[: 8 * n_bytes])
-        if return_details:
-            return psdu, {"channel": h_data, "n_symbols": n_sym}
-        return psdu
+        return self._deparse_streams(soft_streams), h_data
 
     def data_rate_mbps(self, guard_interval="long"):
         """PHY rate for this configuration."""

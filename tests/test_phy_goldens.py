@@ -16,6 +16,7 @@ from numpy.testing import assert_array_equal
 
 from repro.channel.awgn import awgn_noise
 from repro.core.link import LinkSimulator
+from repro.errors import DemodulationError
 from repro.phy import convolutional as cc
 from repro.phy.dsss_ppdu import HrDsssPpdu
 from repro.phy.interleaver import (
@@ -24,7 +25,7 @@ from repro.phy.interleaver import (
     ht_interleave,
     interleave,
 )
-from repro.phy.mimo.ht import HtPhy
+from repro.phy.mimo.ht import HtPhy, VhtPhy
 from repro.phy.modulation import Modulator
 from repro.phy.ofdm import OFDM_RATES, OfdmPhy
 from repro.phy.ofdm_ldpc import LdpcOfdmPhy
@@ -199,6 +200,44 @@ class TestLinkMcGoldens:
             assert (fast.n_packet_errors, fast.n_bit_errors) == \
                    (slow.n_packet_errors, slow.n_bit_errors)
 
+    @pytest.mark.parametrize("phy,chan,n_rx,snr", [
+        ("ht-7", "awgn", None, 19.0),
+        ("ht-15", "tgn-C", None, 24.0),
+        ("vht80-9", "awgn", None, 24.0),
+        ("ht-8", "rayleigh", None, 4.0),
+        ("ht-1", "awgn", 2, 1.0),  # receive diversity: the tile branch
+    ])
+    def test_batched_matches_scalar_path_ht(self, gold, phy, chan, n_rx,
+                                            snr):
+        """HT/VHT links: the batched path equals the per-packet loop."""
+        fast = LinkSimulator(phy, chan, n_rx=n_rx, rng=31).run(
+            snr, n_packets=10, payload_bytes=50)
+        slow = LinkSimulator(phy, chan, n_rx=n_rx, rng=31).run(
+            snr, n_packets=10, payload_bytes=50, vectorized=False)
+        assert (fast.n_packet_errors, fast.n_bit_errors) == \
+               (slow.n_packet_errors, slow.n_bit_errors)
+
+    def test_ht_defaults_to_batched_path(self, gold, monkeypatch):
+        def per_packet(*args, **kwargs):
+            raise AssertionError("per-packet path taken")
+
+        monkeypatch.setattr(LinkSimulator, "_send_packet", per_packet)
+        for phy in ("ht-7", "vht80-9"):
+            LinkSimulator(phy, "awgn", rng=1).run(
+                19.0, n_packets=2, payload_bytes=20)
+
+    def test_batched_matches_scalar_adaptive_ht(self, gold):
+        """A precision-targeted HT run stops at the same trial count."""
+        kw = dict(precision=0.4, max_trials=80, batch_size=10,
+                  payload_bytes=50)
+        fast = LinkSimulator("ht-7", "awgn", rng=8).run(19.0, **kw)
+        slow = LinkSimulator("ht-7", "awgn", rng=8).run(
+            19.0, vectorized=False, **kw)
+        assert fast.mc.n_trials == slow.mc.n_trials
+        assert fast.mc.stop_reason == slow.mc.stop_reason == "precision"
+        assert (fast.n_packet_errors, fast.n_bit_errors) == \
+               (slow.n_packet_errors, slow.n_bit_errors)
+
 
 class TestBatchedWaveformEquivalence:
     """transmit_batch/receive_batch equal per-packet transmit/receive."""
@@ -224,3 +263,47 @@ class TestBatchedWaveformEquivalence:
         got = phy.receive_batch(noisy, noise_var)
         for i, p in enumerate(payloads):
             assert got[i] == phy.receive(noisy[i], noise_var[i])
+
+    @staticmethod
+    def _ht_payloads(seed, n=4, size=30):
+        rng = np.random.default_rng(seed)
+        return rng, [bytes(rng.integers(0, 256, size, dtype=np.uint8).tolist())
+                     for _ in range(n)]
+
+    @pytest.mark.parametrize("phy", [
+        HtPhy(mcs=5), HtPhy(mcs=13, n_rx=2),
+        VhtPhy(mcs=9, spatial_streams=1, bandwidth_mhz=80),
+    ], ids=["ht-5", "ht-13-2x2", "vht80-9"])
+    def test_ht_transmit_batch(self, gold, phy):
+        _, payloads = self._ht_payloads(11)
+        batch = phy.transmit_batch(payloads)
+        assert batch.shape[:2] == (len(payloads), phy.n_tx)
+        for i, p in enumerate(payloads):
+            assert_array_equal(batch[i], phy.transmit(p))
+
+    @pytest.mark.parametrize("phy,snr_db", [
+        (HtPhy(mcs=5), 16.0), (HtPhy(mcs=13, n_rx=2), 22.0),
+        (VhtPhy(mcs=9, spatial_streams=1, bandwidth_mhz=80), 25.0),
+    ], ids=["ht-5", "ht-13-2x2", "vht80-9"])
+    def test_ht_receive_batch(self, gold, phy, snr_db):
+        rng, payloads = self._ht_payloads(12)
+        waves = phy.transmit_batch(payloads)
+        nv = float(np.mean(np.abs(waves) ** 2)) * phy.n_tx / 10 ** (snr_db / 10)
+        noisy = waves + awgn_noise(waves.shape, nv, rng)
+        noise_vars = np.full(len(payloads), nv)
+        got = phy.receive_batch(noisy, noise_vars, psdu_bytes=30)
+        for i in range(len(payloads)):
+            assert got[i] == phy.receive(noisy[i], nv, psdu_bytes=30)
+        assert any(g == p for g, p in zip(got, payloads))
+
+    def test_ht_failed_row_is_none(self, gold):
+        """A row whose detection fails comes back None; the others decode."""
+        phy = HtPhy(mcs=13, n_rx=2)
+        _, payloads = self._ht_payloads(13, n=3)
+        waves = phy.transmit_batch(payloads)
+        waves[1] = 0.0  # a dead capture: MMSE detection collapses
+        with pytest.raises(DemodulationError):
+            phy.receive(waves[1], 1e-3, psdu_bytes=30)
+        got = phy.receive_batch(waves, np.full(3, 1e-3), psdu_bytes=30)
+        assert got[1] is None
+        assert got[0] == payloads[0] and got[2] == payloads[2]

@@ -1,6 +1,8 @@
 """Tests for the sharded local-queue execution backend."""
 
 import os
+import signal
+import time
 
 import pytest
 
@@ -34,8 +36,25 @@ def _die_once_point(params, rng):
     return {"draw": float(rng.integers(0, 1 << 30))}
 
 
+def _stream_or_kill_point(params, rng):
+    """Stream quick records; SIGKILL the worker on the first visit to
+    ``kill_at`` (the flag file holds the kill's wall time)."""
+    x = int(params["x"])
+    if x == int(params["kill_at"]):
+        flag = os.path.join(params["flag_dir"], "killed")
+        if not os.path.exists(flag):
+            with open(flag, "w") as fh:
+                fh.write(repr(time.time()))
+            os.kill(os.getpid(), signal.SIGKILL)
+    else:
+        time.sleep(float(params["sleep_s"]))
+    return {"t": time.time(), "pid": float(os.getpid())}
+
+
 register_point_kind("test-queue-draw", _queue_draw_point, code_version="1")
 register_point_kind("test-die-once", _die_once_point, code_version="1")
+register_point_kind("test-stream-kill", _stream_or_kill_point,
+                    code_version="1")
 
 
 def draw_spec(n=8, **overrides):
@@ -196,6 +215,37 @@ class TestWorkerDeath:
         expected = float(point_generator(23, by_x[3]["index"])
                          .integers(0, 1 << 30))
         assert by_x[3]["metrics"]["draw"] == expected
+
+    def test_killed_worker_reaped_while_survivors_stream(self, tmp_path):
+        """Liveness is checked on a clock: a survivor streaming records
+        faster than the reap interval (and no heartbeat at all, as there
+        is no store) must not delay the dead worker's requeue until the
+        stream dries up."""
+        flag_dir = tmp_path / "flags"
+        flag_dir.mkdir()
+        spec = CampaignSpec(
+            name="streaming", kind="test-stream-kill",
+            factors={"x": list(range(60))},
+            fixed={"kill_at": 1, "flag_dir": str(flag_dir),
+                   "sleep_s": 0.05},
+            base_seed=31,
+        )
+        result = run_campaign(spec, workers=2, backend="local-queue",
+                              shard_size=2)
+        assert all(r["outcome"] == "ok" for r in result.records)
+        stats = result.extras["queue"]
+        assert stats["n_requeued"] >= 1 and stats["n_respawns"] >= 1
+        t_kill = float((flag_dir / "killed").read_text())
+        # The replacement is the worker whose first record came last.
+        first_by_pid = {}
+        for r in sorted(result.records, key=lambda r: r["metrics"]["t"]):
+            first_by_pid.setdefault(r["metrics"]["pid"], r["metrics"]["t"])
+        replacement = max(first_by_pid, key=first_by_pid.get)
+        t_replacement = first_by_pid[replacement]
+        survivor_last = max(r["metrics"]["t"] for r in result.records
+                            if r["metrics"]["pid"] != replacement)
+        assert t_replacement - t_kill < 5.0
+        assert t_replacement < survivor_last
 
     def test_all_workers_dead_synthesizes_failures(self, tmp_path):
         """When every worker (and replacement) dies on the same point,
