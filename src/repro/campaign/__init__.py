@@ -6,8 +6,9 @@ campaign is a declarative :class:`~repro.campaign.spec.CampaignSpec`
 :func:`~repro.campaign.runner.run_campaign` orchestrator expands it,
 derives an independent random substream per point
 (``numpy.random.SeedSequence`` spawning — results are bit-identical at
-any worker count), executes points on a ``ProcessPoolExecutor``, skips
-points already present in the :class:`~repro.campaign.store.ResultsStore`
+any worker count), executes points inline or on the sharded local
+queue of worker processes (:mod:`repro.campaign.queue`), skips points
+already present in the :class:`~repro.campaign.store.ResultsStore`
 (content-hash cache), and appends each completed point to
 ``results/<campaign>/records.jsonl`` as it lands. Execution is
 fault-isolated: failing points become structured ``error``/``timeout``
@@ -38,9 +39,9 @@ from repro.campaign.runner import (CampaignResult, point_kinds,
                                    run_campaign)
 from repro.campaign.seeding import (attempt_generator, attempt_seed,
                                     point_generator, point_seed)
-from repro.campaign.spec import (EXECUTION_BACKENDS, STORE_BACKENDS,
-                                 CampaignSpec, SweepPoint, builtin_campaign,
-                                 builtin_campaigns, load_spec)
+from repro.campaign.spec import (STORE_BACKENDS, CampaignSpec, SweepPoint,
+                                 builtin_campaign, builtin_campaigns,
+                                 load_spec)
 from repro.campaign.store import (ResultsStore, detect_store_backend,
                                   make_store, resolve_store_backend,
                                   scan_campaigns)
@@ -49,7 +50,6 @@ from repro.campaign.store_sqlite import SqliteResultsStore
 __all__ = [
     "CampaignResult",
     "CampaignSpec",
-    "EXECUTION_BACKENDS",
     "STORE_BACKENDS",
     "ResultsStore",
     "SqliteResultsStore",

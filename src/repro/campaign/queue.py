@@ -1,16 +1,21 @@
 """Sharded work-queue execution for campaigns.
 
-The million-point campaign shape: the grid's uncached points are
-sharded into :class:`WorkUnit` batches, the parent *assigns* units to
-workers (recording the lease before the unit ever leaves the parent —
-a worker that dies without sending a byte still forfeits exactly what
-it held), workers stream back one record per completed point and ack
-the unit when it is drained. The parent tracks every unit's lease and
-every point's record, so
+Every multi-process campaign run, and every run with a per-point
+timeout, goes through :func:`run_local_queue`. The grid's uncached
+points are sharded into :class:`WorkUnit` batches, the parent *assigns*
+units to workers (recording the lease before the unit ever leaves the
+parent — a worker that dies without sending a byte still forfeits
+exactly what it held), workers stream back one record per completed
+point and ack the unit when it is drained. The parent tracks every
+unit's lease and every point's record, so
 
 * a worker that dies mid-unit (OOM-kill, segfault) forfeits its lease:
   the unit's *unfinished* jobs are requeued as a fresh unit and a
   replacement worker is spawned (bounded respawn budget);
+* a point that overruns ``timeout_s`` is stopped by killing its
+  worker: the parent writes the point's ``timeout`` record itself, the
+  rest of the unit is requeued like any forfeit, and the replacement
+  does not come out of the crash-respawn budget;
 * records that arrive twice — a requeued unit re-running a point whose
   record was already in flight when its first worker died — are
   deduplicated by cache key, so the store sees each point once;
@@ -18,23 +23,12 @@ every point's record, so
   record is persisted by the parent the moment it arrives, and
   ``repro campaign resume`` re-runs only the missing points. Per-point
   :mod:`~repro.campaign.seeding` substreams make the completed grid
-  bit-identical to an uninterrupted run.
+  bit-identical to an uninterrupted run. Workers watch their parent
+  pid and exit once the coordinator is gone, so a killed run leaves
+  no orphans.
 
-Two execution backends share the runner's ``finish`` contract
-(``finish(record, t_submit)``; see
-:func:`repro.campaign.runner._run_campaign`):
-
-``pool``
-    The PR-1 :class:`~concurrent.futures.ProcessPoolExecutor` path
-    (:func:`run_pool`) — one future per point, no sharding. Still the
-    default; right for small grids and cheap points.
-``local-queue``
-    :func:`run_local_queue` — the sharded lease/ack loop above, on
-    ``multiprocessing`` queues. Same records, bit for bit; amortizes
-    per-task dispatch over a unit and survives worker loss.
-
-Telemetry: ``campaign.queue.units/lease/ack/requeue/duplicate/respawn``
-counters and a stats dict surfaced as
+Telemetry: ``campaign.queue.units/lease/ack/requeue/duplicate/respawn/
+timeout`` counters and a stats dict surfaced as
 ``CampaignResult.extras["queue"]``.
 """
 
@@ -46,7 +40,6 @@ import queue as stdlib_queue
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from repro import obs
@@ -54,7 +47,8 @@ from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 
 
-#: Seconds between worker-liveness checks in :func:`run_local_queue`.
+#: Seconds between worker-liveness checks in :func:`run_local_queue`;
+#: also how often a worker without a heartbeat checks its parent is alive.
 REAP_INTERVAL_S = 0.2
 
 
@@ -170,21 +164,35 @@ class WorkQueue:
         return not self.pending and not self.leases
 
 
-def _heartbeat_loop(stop, result_q, pid, heartbeat_s, trace_dir,
-                    registry):
-    """Worker-side heartbeat: prove liveness, flush in-flight telemetry.
+def _heartbeat_loop(stop, result_q, pid, parent_pid, heartbeat_s,
+                    trace_dir, registry):
+    """Worker-side watchdog thread: exit when orphaned, else heartbeat.
 
-    Every ``heartbeat_s`` the thread (1) flushes the worker's tracer so
+    On every tick (``heartbeat_s``, or :data:`REAP_INTERVAL_S` when no
+    heartbeat was asked for) the thread compares ``os.getppid()`` with
+    the parent pid recorded at start-up and ``os._exit`` s the worker
+    when they differ: the coordinator was killed, and nothing would
+    ever read this worker's records or send its exit sentinel. Under
+    ``forkserver`` the parent is the fork server, which stays alive for
+    as long as its children do, so the thread also exits when
+    :func:`multiprocessing.parent_process` (the coordinator's sentinel
+    pipe) reports the coordinator dead.
+
+    With ``heartbeat_s`` set it also (1) flushes the worker's tracer so
     counter deltas and closed child spans of a *still-running* point
-    reach the part file — before this, everything buffered until the
-    top-level span closed, so a worker grinding through one long point
-    was indistinguishable on disk from a hung one — and (2) sends the
+    reach the part file — so a worker grinding through one long point
+    is distinguishable on disk from a hung one — and (2) sends the
     worker's cumulative metrics snapshot to the parent, which folds it
     into ``status.json``.
     """
     from repro.campaign import runner
 
-    while not stop.wait(heartbeat_s):
+    coordinator = multiprocessing.parent_process()
+    while not stop.wait(heartbeat_s or REAP_INTERVAL_S):
+        if os.getppid() != parent_pid or not coordinator.is_alive():
+            os._exit(1)
+        if not heartbeat_s:
+            continue
         if trace_dir is not None:
             tracer = runner._WORKER_TRACERS.get(trace_dir)
             if tracer is not None:
@@ -209,8 +217,15 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
     queue buffer — so record/ack messages only carry the unit id and
     pid for the parent's cross-checks.
 
-    With ``heartbeat_s`` set (live status active), a daemon thread
-    heartbeats the parent on that cadence; see :func:`_heartbeat_loop`.
+    A daemon thread always runs beside the loop: it exits the worker
+    once the parent is gone and, with ``heartbeat_s`` set (live status
+    active), heartbeats the parent on that cadence; see
+    :func:`_heartbeat_loop`.
+
+    With ``timeout_s`` set the worker sends an ``attempt`` message as
+    each attempt starts, from which the parent times the point and
+    kills this process when it overruns. Untimed runs send nothing
+    extra.
 
     ``pool_meta`` names the parent's shared-memory draw pool
     (:mod:`repro.campaign.shm`): the worker attaches once here — the
@@ -218,6 +233,7 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
     functions slice from the mapping. Attach failure is harmless:
     points regenerate the same draws locally, bit for bit.
     """
+    parent_pid = os.getppid()
     if initializer is not None:
         initializer(*initargs)
     from repro.campaign import runner
@@ -230,31 +246,35 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
             pass
 
     pid = os.getpid()
-    stop_beat = None
+    registry = None
     if heartbeat_s:
         registry = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
         result_q.put(("heartbeat", -1, pid,
                       {"t": time.time(), "metrics": registry.snapshot()}))
-        stop_beat = threading.Event()
-        threading.Thread(
-            target=_heartbeat_loop, daemon=True, name="campaign-heartbeat",
-            args=(stop_beat, result_q, pid, float(heartbeat_s), trace_dir,
-                  registry)).start()
+    stop_beat = threading.Event()
+    threading.Thread(
+        target=_heartbeat_loop, daemon=True, name="campaign-heartbeat",
+        args=(stop_beat, result_q, pid, parent_pid,
+              float(heartbeat_s or 0.0), trace_dir, registry)).start()
     try:
         while True:
             unit = task_q.get()
             if unit is None:
                 break
             for key, index, params in unit.jobs:
+                on_attempt = None
+                if timeout_s:
+                    def on_attempt(attempt, uid=unit.unit_id, key=key):
+                        result_q.put(("attempt", uid, pid, (key, attempt)))
                 record = runner._execute_point(
                     kind, campaign, base_seed, index, params, key,
-                    retries, timeout_s, trace_dir)
+                    retries, trace_dir, on_attempt)
                 result_q.put(("record", unit.unit_id, pid, record))
             result_q.put(("ack", unit.unit_id, pid, None))
     finally:
         shm.detach_pool()
-        if stop_beat is not None:
-            stop_beat.set()
+        stop_beat.set()
+        if heartbeat_s:
             # Last will: a campaign faster than one heartbeat interval
             # would otherwise never ship this worker's metrics.
             try:
@@ -274,8 +294,10 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
     ``todo`` is the runner's ``(key, SweepPoint)`` list; ``finish`` is
     its record sink (which persists to the store immediately — the
     crash-safety contract). Every point gets exactly one ``finish``
-    call: normally its worker's record, or a synthesized failure record
-    if every executor died with the point still outstanding.
+    call: normally its worker's record; a ``timeout`` record the parent
+    writes when it kills a worker whose attempt overran ``timeout_s``;
+    or a synthesized failure record if every executor died with the
+    point still outstanding.
 
     ``board`` is the runner's live :class:`~repro.obs.live.StatusBoard`
     (or ``None``): workers heartbeat on its cadence, and the control
@@ -399,11 +421,28 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
     respawn_budget = workers
     n_duplicates = 0
     n_respawns = 0
+    n_timeouts = 0
+    #: pid -> (deadline, unit_id, key, attempt, t_point_start) of the
+    #: attempt that worker is running; only timed runs fill it.
+    deadlines = {}
+    #: Workers killed for a timeout: replaced outside the crash budget.
+    timed_out = set()
     t_enqueue = clock.elapsed
 
     def handle(msg):
         nonlocal n_duplicates
         msg_type, unit_id, pid, payload = msg
+        if msg_type == "attempt":
+            if pid not in procs:
+                return  # flushed by a worker already reaped
+            key, attempt = payload
+            now = time.monotonic()
+            previous = deadlines.get(pid)
+            t_point = previous[4] if previous and previous[2] == key \
+                else now
+            deadlines[pid] = (now + timeout_s, unit_id, key, attempt,
+                              t_point)
+            return
         if msg_type == "heartbeat":
             if board is not None:
                 board.worker_heartbeat(pid, payload)
@@ -412,6 +451,7 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
             return
         if msg_type == "record":
             key = payload["key"]
+            deadlines.pop(pid, None)
             wq.record(unit_id, key)
             if board is not None:
                 board.worker_heartbeat(pid)  # records prove liveness too
@@ -430,6 +470,36 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
                 fill(pid)
         update_board()
 
+    def kill_overdue():
+        """SIGKILL every worker whose attempt is past its deadline.
+
+        The parent writes the point's ``timeout`` record itself; the
+        reap below then requeues the rest of the dead worker's units.
+        """
+        nonlocal n_timeouts
+        now = time.monotonic()
+        for pid, (deadline, unit_id, key, attempt, t_point) in list(
+                deadlines.items()):
+            if now < deadline:
+                continue
+            del deadlines[pid]
+            proc, _ = procs[pid]
+            proc.kill()
+            proc.join(timeout=5.0)
+            timed_out.add(pid)
+            n_timeouts += 1
+            obs.counter("campaign.queue.timeout")
+            wq.record(unit_id, key)
+            if key in remaining:
+                remaining.discard(key)
+                finish(runner._coordinator_record(
+                    spec, code_version, points_by_key[key], key,
+                    outcome="timeout",
+                    error=f"point exceeded its {float(timeout_s):g}s "
+                          "wall-clock budget",
+                    error_type="TimeoutError", attempts=attempt + 1,
+                    wall_time_s=now - t_point, worker=pid), t_enqueue)
+
     def reap_dead():
         nonlocal n_respawns
         for pid in [p for p, (proc, _) in procs.items()
@@ -438,6 +508,7 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
             proc.join()
             task_q.close()
             task_q.cancel_join_thread()
+            deadlines.pop(pid, None)
             forfeited = 0
             for unit in wq.requeue_for(pid):
                 backlog.append(unit)
@@ -445,7 +516,12 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
                 obs.counter("campaign.queue.requeue")
             if board is not None:
                 board.worker_dead(pid, forfeited=forfeited)
-            if respawn_budget - n_respawns > 0 and not wq.done():
+            if wq.done():
+                continue
+            if pid in timed_out:
+                timed_out.discard(pid)
+                spawn()
+            elif respawn_budget - n_respawns > 0:
                 n_respawns += 1
                 obs.counter("campaign.queue.respawn")
                 spawn()
@@ -460,15 +536,18 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
         # Liveness runs on a clock, not on idleness: survivors that
         # message faster than the reap interval (heartbeats, a stream of
         # quick records) would otherwise keep the inbox busy and a dead
-        # worker's lease would never be requeued.
+        # worker's lease would never be requeued. The clock also wakes
+        # at the earliest attempt deadline, so an overrunning worker is
+        # killed on time and reaped in the same pass.
         next_reap = time.monotonic() + REAP_INTERVAL_S
         while remaining:
+            wake = min([next_reap] + [d[0] for d in deadlines.values()])
             try:
-                handle(inbox.get(
-                    timeout=max(next_reap - time.monotonic(), 0.0)))
+                handle(inbox.get(timeout=max(wake - time.monotonic(), 0.0)))
             except stdlib_queue.Empty:
                 pass
-            if time.monotonic() >= next_reap:
+            if time.monotonic() >= wake:
+                kill_overdue()
                 reap_dead()
                 next_reap = time.monotonic() + REAP_INTERVAL_S
                 if not procs:
@@ -483,12 +562,13 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
         n_lost = len(remaining)
         for key in sorted(remaining,
                           key=lambda k: points_by_key[k].index):
-            pt = points_by_key[key]
-            exc = RuntimeError(
-                "work unit lost: every queue worker (and replacement) "
-                "died before completing this point")
-            finish(runner._pool_failure_record(spec, code_version, pt,
-                                               key, exc), t_enqueue)
+            finish(runner._coordinator_record(
+                spec, code_version, points_by_key[key], key,
+                outcome="error",
+                error="worker failed outside the point function: work "
+                      "unit lost: every queue worker (and replacement) "
+                      "died before completing this point",
+                error_type="RuntimeError"), t_enqueue)
         remaining.clear()
     finally:
         # Nothing may be assigned past this point: a late ack drained
@@ -518,7 +598,6 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
             draw_pool.destroy()
 
     return {
-        "backend": "local-queue",
         "n_units": len(units),
         "shard_size": size,
         "draw_pool": pool_meta is not None,
@@ -527,40 +606,7 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
         "n_requeued": wq.n_requeued,
         "n_duplicates": n_duplicates,
         "n_respawns": n_respawns,
+        "n_timeouts": n_timeouts,
         "n_lost": n_lost,
     }
 
-
-def run_pool(spec, code_version, todo, workers, retries, timeout_s,
-             start_method, trace_dir, finish, clock):
-    """Execute ``todo`` on a :class:`ProcessPoolExecutor` (``pool``).
-
-    One future per point; a future that dies outside the point function
-    (killed worker, unpicklable argument, broken pool) still yields a
-    structured failure record, so the sweep never returns holes.
-    """
-    from repro.campaign import runner
-
-    context = (multiprocessing.get_context(start_method)
-               if start_method else None)
-    initializer, initargs = runner._worker_initializer(spec.kind)
-    with ProcessPoolExecutor(max_workers=int(workers),
-                             mp_context=context,
-                             initializer=initializer,
-                             initargs=initargs) as pool:
-        futures = {}
-        for key, pt in todo:
-            future = pool.submit(runner._execute_point, spec.kind,
-                                 spec.name, spec.base_seed,
-                                 pt.index, pt.params, key,
-                                 retries, timeout_s, trace_dir)
-            futures[future] = (key, pt, clock.elapsed)
-        for future in as_completed(futures):
-            key, pt, t_submit = futures[future]
-            try:
-                record = future.result()
-            except Exception as exc:
-                record = runner._pool_failure_record(spec, code_version,
-                                                     pt, key, exc)
-            finish(record, t_submit)
-    return {"backend": "pool"}

@@ -15,14 +15,19 @@ is bit-identical to ``--workers 1``.
 
 Execution is *fault-isolated*: any exception a point function raises is
 captured into the point's record — class name, message, and traceback
-text — and the sweep continues; one bad point can no longer abort a
-pool run and abandon hours of in-flight results. Failing points get
+text — and the sweep continues; one bad point cannot abort a run and
+abandon hours of in-flight results. Failing points get
 ``spec.retries`` extra attempts, each drawing from a deterministic
 per-attempt stream (see :mod:`repro.campaign.seeding`), and an optional
 ``spec.timeout_s`` wall-clock budget marks an overrunning point
 ``timeout`` and moves on. :func:`run_campaign` therefore always returns
 a complete :class:`CampaignResult`: one record per grid point, never a
 ``None`` hole.
+
+``workers == 1`` without a timeout runs points inline in this process.
+Anything else — more workers, or any timeout — runs on the sharded
+local queue (:mod:`repro.campaign.queue`), where a timeout is enforced
+by killing the worker that holds the overrunning point.
 
 Record schema (one per point, stored as a JSONL line)::
 
@@ -52,27 +57,26 @@ Record schema (one per point, stored as a JSONL line)::
 Telemetry: when :func:`run_campaign` is called with ``trace=True`` (or
 an ambient :mod:`repro.obs` tracer is installed) the run emits spans —
 ``campaign.run`` around the sweep, one ``campaign.point`` per grid
-point with outcome/attempt/cache attrs and the pool submit-to-finish
-latency as its duration, and worker-side ``campaign.execute`` /
-``campaign.attempt`` spans around the point function — plus cache,
-outcome and retry counters. Each pool worker writes its own JSONL part
-file under ``results/<campaign>/trace/`` (spawn-safe: nothing is
-shared), and the parent merges them into ``trace.jsonl`` after pool
-shutdown for ``repro trace report``.
+point with outcome/attempt/cache attrs and the queue's
+enqueue-to-finish latency as its duration, and worker-side
+``campaign.execute`` / ``campaign.attempt`` spans around the point
+function — plus cache, outcome and retry counters. Each queue worker
+writes its own JSONL part file under ``results/<campaign>/trace/``
+(spawn-safe: nothing is shared), and the parent merges them into
+``trace.jsonl`` once the workers have exited, for ``repro trace
+report``.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 import traceback as traceback_module
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.campaign.cache import point_key
 from repro.campaign.seeding import attempt_generator
-from repro.campaign.spec import EXECUTION_BACKENDS
 from repro.errors import ConfigurationError, PointExecutionError
 from repro.obs import live
 from repro.obs import metrics as obs_metrics
@@ -110,7 +114,7 @@ def _lookup_kind(kind):
 # -- built-in point functions ------------------------------------------------
 #
 # Imports are deferred into the functions so that importing the campaign
-# package stays cheap and pool workers only pay for what they run.
+# package stays cheap and queue workers only pay for what they run.
 
 def _run_link_point(params, rng):
     """One PER/BER measurement: LinkSimulator(phy, channel) at one SNR.
@@ -284,7 +288,7 @@ _BUILTIN_ENTRIES = dict(_POINT_KINDS)
 
 
 def _register_in_worker(kind, func, code_version):
-    """Pool initializer: re-register a custom kind in a child process.
+    """Worker initializer: re-register a custom kind in a child process.
 
     Under the ``spawn``/``forkserver`` start methods workers do not
     inherit the parent's registry mutations, so custom kinds registered
@@ -295,7 +299,7 @@ def _register_in_worker(kind, func, code_version):
 
 
 def _worker_initializer(kind):
-    """``(initializer, initargs)`` needed so pool workers know ``kind``.
+    """``(initializer, initargs)`` needed so queue workers know ``kind``.
 
     Built-in kinds are re-created by the module import in every child,
     so they need nothing. Custom kinds are shipped by value when their
@@ -316,55 +320,9 @@ def _worker_initializer(kind):
 
 # -- execution ---------------------------------------------------------------
 
-class _PointTimeout(Exception):
-    """Internal: a point overran its wall-clock budget."""
-
-
-def _call_point(func, params, rng, timeout_s):
-    """Invoke ``func`` with an optional wall-clock budget.
-
-    With a timeout the call runs on a daemon thread and is abandoned at
-    the deadline (the thread cannot be killed, but the worker process
-    moves on; stragglers die with the process). Without one the call is
-    made inline — zero overhead on the common path.
-
-    An abandoned thread keeps executing the point after the record says
-    ``timeout`` — and an instrumented point function keeps emitting
-    spans and counters. Those late events used to land in the process
-    tracer and get merged into the trace as if the campaign were still
-    doing work, skewing every per-point aggregate. At the deadline the
-    straggler's thread ident is therefore marked abandoned (the tracer
-    drops everything it emits from then on); ``revive_thread`` at
-    thread birth clears any stale suppression when the OS reuses the
-    ident for a later attempt's thread.
-    """
-    if not timeout_s:
-        return func(params, rng)
-    outcome = {}
-
-    def target():
-        obs.revive_thread(threading.get_ident())
-        try:
-            outcome["metrics"] = func(params, rng)
-        except BaseException as exc:  # propagated to the caller below
-            outcome["exc"] = exc
-
-    worker = threading.Thread(target=target, daemon=True,
-                              name="campaign-point")
-    worker.start()
-    worker.join(float(timeout_s))
-    if worker.is_alive():
-        obs.abandon_thread(worker.ident)
-        raise _PointTimeout(
-            f"point exceeded its {float(timeout_s):g}s wall-clock budget")
-    if "exc" in outcome:
-        raise outcome["exc"]
-    return outcome["metrics"]
-
-
 _MAX_TRACEBACK_CHARS = 8000
 
-# Per-process tracers for pool workers, keyed by trace directory. A
+# Per-process tracers for queue workers, keyed by trace directory. A
 # worker is reused across many points (and possibly across campaigns),
 # so it opens its part file once and keeps appending.
 _WORKER_TRACERS = {}
@@ -381,17 +339,18 @@ def _process_tracer(trace_dir):
 
 
 def _execute_point(kind, campaign, base_seed, index, params, key,
-                   retries=0, timeout_s=None, trace_dir=None):
-    """Run one point in whatever process this lands in (pool or main).
+                   retries=0, trace_dir=None, on_attempt=None):
+    """Run one point in whatever process this lands in (worker or main).
 
     Never raises: every exception from the point function becomes a
-    structured ``error`` record, an overrun becomes ``timeout``, and
-    failures are retried up to ``retries`` times with attempt ``k``
-    drawing from the deterministic ``(base_seed, index, k)`` stream.
-    Timeouts are terminal — re-running a hang would just hang again and
-    burn the budget times over.
+    structured ``error`` record, and failures are retried up to
+    ``retries`` times with attempt ``k`` drawing from the deterministic
+    ``(base_seed, index, k)`` stream. ``on_attempt(k)``, when given, is
+    called as each attempt starts — a timed queue worker uses it to
+    start the parent's deadline clock (timeouts are enforced by the
+    parent killing the worker, never here).
 
-    ``trace_dir`` is set on pool submissions of traced runs: the worker
+    ``trace_dir`` is set for queue workers of traced runs: the worker
     installs its own per-process tracer (appending to
     ``trace_dir/worker-<pid>.jsonl``) for the duration, which both
     works under ``spawn`` (no inherited state needed) and shadows any
@@ -402,13 +361,13 @@ def _execute_point(kind, campaign, base_seed, index, params, key,
     if trace_dir is not None:
         with obs.use_tracer(_process_tracer(trace_dir)):
             return _execute_point_impl(kind, campaign, base_seed, index,
-                                       params, key, retries, timeout_s)
+                                       params, key, retries, on_attempt)
     return _execute_point_impl(kind, campaign, base_seed, index, params,
-                               key, retries, timeout_s)
+                               key, retries, on_attempt)
 
 
 def _execute_point_impl(kind, campaign, base_seed, index, params, key,
-                        retries, timeout_s):
+                        retries, on_attempt):
     func, code_version = _lookup_kind(kind)
     attempts = 0
     metrics, outcome, error, error_type, tb_text = {}, "error", None, None, \
@@ -418,22 +377,21 @@ def _execute_point_impl(kind, campaign, base_seed, index, params, key,
         for attempt in range(int(retries) + 1):
             attempts = attempt + 1
             rng = attempt_generator(base_seed, index, attempt)
+            if on_attempt is not None:
+                on_attempt(attempt)
             with obs.span("campaign.attempt", index=index,
                           attempt=attempt) as attempt_span:
                 try:
-                    metrics = _call_point(func, params, rng, timeout_s)
+                    metrics = func(params, rng)
                     outcome, error, error_type, tb_text = "ok", None, None, \
                         None
-                except _PointTimeout as exc:
-                    metrics, outcome, error = {}, "timeout", str(exc)
-                    error_type, tb_text = "TimeoutError", None
                 except Exception as exc:
                     metrics, outcome, error = {}, "error", str(exc)
                     error_type = type(exc).__name__
                     tb_text = traceback_module.format_exc()[
                         -_MAX_TRACEBACK_CHARS:]
                 attempt_span.set(outcome=outcome)
-            if outcome != "error":
+            if outcome == "ok":
                 break
         exec_span.set(outcome=outcome, attempts=attempts)
     return {
@@ -512,12 +470,14 @@ class CampaignResult:
         return self
 
 
-def _pool_failure_record(spec, code_version, point, key, exc):
-    """Structured record for a point whose *future* died, not its code.
+def _coordinator_record(spec, code_version, point, key, outcome, error,
+                        error_type, attempts=1, wall_time_s=0.0,
+                        worker=None):
+    """Record for a point the coordinator settles without its worker.
 
-    Covers failures outside the point function — a worker killed by the
-    OS, an unpicklable argument, a broken pool. The sweep still gets a
-    complete record for the point instead of an aborted run.
+    Covers a worker killed for overrunning ``timeout_s`` (``timeout``)
+    and a unit lost because every worker died (``error``). The sweep
+    still gets a complete record for the point instead of a hole.
     """
     return {
         "key": key,
@@ -528,19 +488,19 @@ def _pool_failure_record(spec, code_version, point, key, exc):
         "params": dict(point.params),
         "base_seed": int(spec.base_seed),
         "metrics": {},
-        "outcome": "error",
-        "error": f"worker failed outside the point function: {exc}",
-        "error_type": type(exc).__name__,
-        "traceback": traceback_module.format_exc()[-_MAX_TRACEBACK_CHARS:],
-        "attempts": 1,
-        "wall_time_s": 0.0,
-        "worker": None,
+        "outcome": outcome,
+        "error": error,
+        "error_type": error_type,
+        "traceback": None,
+        "attempts": attempts,
+        "wall_time_s": wall_time_s,
+        "worker": worker,
     }
 
 
 def run_campaign(spec, workers=1, store=None, force=False, echo=None,
                  retries=None, timeout_s=None, start_method=None,
-                 trace=False, backend=None, shard_size=None, resume=False,
+                 trace=False, shard_size=None, resume=False,
                  heartbeat_s=None):
     """Execute a campaign, reusing cached points from ``store``.
 
@@ -548,8 +508,9 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
     ----------
     spec : CampaignSpec
     workers : int
-        Pool size. ``1`` runs points inline (no subprocesses); any value
-        produces bit-identical metrics because seeding is per-point.
+        Worker processes. ``1`` without a timeout runs points inline (no
+        subprocesses); any value produces bit-identical metrics because
+        seeding is per-point.
     store : ResultsStore or None
         When given, previously stored points with matching cache keys are
         skipped and fresh points are appended as they complete. ``None``
@@ -562,21 +523,16 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
         Override ``spec.retries`` for this run (``None`` keeps the spec).
     timeout_s : float or None
         Override ``spec.timeout_s`` for this run (``None`` keeps the
-        spec; pass ``0`` to disable a spec timeout).
+        spec; pass ``0`` to disable a spec timeout). A timed run always
+        uses the queue, even at ``workers=1``: the point is stopped by
+        killing its worker process.
     start_method : str or None
-        Multiprocessing start method for the pool (``fork``, ``spawn``,
-        ``forkserver``). ``None`` uses ``$REPRO_CAMPAIGN_START_METHOD``
-        when set, else the platform default.
-    backend : str or None
-        Execution backend: ``"pool"`` (ProcessPoolExecutor, one future
-        per point) or ``"local-queue"`` (sharded work units with
-        lease/ack and worker-death recovery, see
-        :mod:`repro.campaign.queue`). ``None`` uses ``spec.backend``,
-        falling back to ``pool``. Records are bit-identical across
-        backends; the knob never enters the cache key.
+        Multiprocessing start method for queue workers (``fork``,
+        ``spawn``, ``forkserver``). ``None`` uses
+        ``$REPRO_CAMPAIGN_START_METHOD`` when set, else the platform
+        default.
     shard_size : int or None
-        Points per work unit for ``local-queue`` (``None`` = ~4 units
-        per worker). Ignored by ``pool``.
+        Points per queue work unit (``None`` = ~4 units per worker).
     resume : bool
         Mark this run as a resume of an interrupted campaign: emits a
         ``campaign.resume`` event carrying how much of the grid the
@@ -595,7 +551,7 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
         Collect :mod:`repro.obs` telemetry for this run. With a store,
         every process writes a JSONL part file under
         ``results/<campaign>/trace/`` and the parent merges them into
-        ``trace.jsonl`` after the pool shuts down
+        ``trace.jsonl`` after the workers exit
         (``result.extras["trace_path"]``); without one the trace stays
         in memory. Either way ``result.extras["trace"]`` carries the
         parent tracer's :meth:`~repro.obs.Tracer.summary`. With
@@ -615,8 +571,8 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
     if not trace:
         return _run_campaign(spec, workers, store, force, echo, retries,
                              timeout_s, start_method, trace_dir=None,
-                             backend=backend, shard_size=shard_size,
-                             resume=resume, heartbeat_s=heartbeat_s)
+                             shard_size=shard_size, resume=resume,
+                             heartbeat_s=heartbeat_s)
     trace_dir = None
     if store is not None:
         trace_dir = store.trace_dir(spec.name)
@@ -635,8 +591,8 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
     with obs.use_tracer(tracer):
         result = _run_campaign(spec, workers, store, force, echo, retries,
                                timeout_s, start_method, trace_dir,
-                               backend=backend, shard_size=shard_size,
-                               resume=resume, heartbeat_s=heartbeat_s)
+                               shard_size=shard_size, resume=resume,
+                               heartbeat_s=heartbeat_s)
     result.extras["trace"] = tracer.summary()
     if trace_dir is not None:
         merged, _ = obs.merge_trace_dir(trace_dir, fold_existing=resume)
@@ -645,8 +601,8 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
 
 
 def _run_campaign(spec, workers, store, force, echo, retries, timeout_s,
-                  start_method, trace_dir, backend=None, shard_size=None,
-                  resume=False, heartbeat_s=None):
+                  start_method, trace_dir, shard_size=None, resume=False,
+                  heartbeat_s=None):
     """The sweep itself, emitting telemetry to the ambient tracer."""
     _, code_version = _lookup_kind(spec.kind)  # validate kind up front
     workers = max(1, int(workers))
@@ -654,12 +610,6 @@ def _run_campaign(spec, workers, store, force, echo, retries, timeout_s,
     timeout_s = spec.timeout_s if timeout_s is None else (timeout_s or None)
     start_method = start_method or os.environ.get(
         "REPRO_CAMPAIGN_START_METHOD") or None
-    backend = backend or spec.backend or "pool"
-    if backend not in EXECUTION_BACKENDS:
-        raise ConfigurationError(
-            f"unknown execution backend {backend!r}; available: "
-            f"{', '.join(EXECUTION_BACKENDS)}"
-        )
     say = echo or (lambda _msg: None)
     points = spec.expand()
 
@@ -675,18 +625,18 @@ def _run_campaign(spec, workers, store, force, echo, retries, timeout_s,
         board = live.StatusBoard(
             live.status_path(store.campaign_dir(spec.name)),
             campaign=spec.name, total=len(points), workers=workers,
-            backend=backend, heartbeat_s=heartbeat_s, registry=registry)
+            heartbeat_s=heartbeat_s, registry=registry)
     try:
         if registry is not None:
             with obs_metrics.use_registry(registry):
                 result = _run_campaign_impl(
                     spec, workers, store, force, say, retries, timeout_s,
-                    start_method, trace_dir, backend, shard_size, resume,
+                    start_method, trace_dir, shard_size, resume,
                     code_version, points, board)
         else:
             result = _run_campaign_impl(
                 spec, workers, store, force, say, retries, timeout_s,
-                start_method, trace_dir, backend, shard_size, resume,
+                start_method, trace_dir, shard_size, resume,
                 code_version, points, board)
     except BaseException:
         if board is not None:
@@ -698,15 +648,14 @@ def _run_campaign(spec, workers, store, force, echo, retries, timeout_s,
 
 
 def _run_campaign_impl(spec, workers, store, force, say, retries,
-                       timeout_s, start_method, trace_dir, backend,
-                       shard_size, resume, code_version, points, board):
+                       timeout_s, start_method, trace_dir, shard_size,
+                       resume, code_version, points, board):
 
     if board is not None:
         board.start_ticker()
         board.maybe_write(force=True)
     with obs.span("campaign.run", campaign=spec.name, kind=spec.kind,
-                  n_points=len(points), backend=backend,
-                  resume=bool(resume),
+                  n_points=len(points), resume=bool(resume),
                   workers=workers) as run_span, obs.timed() as clock:
         known = {}
         if store is not None and not force:
@@ -749,25 +698,17 @@ def _run_campaign_impl(spec, workers, store, force, say, retries,
             say(f"{spec.name}: {n_cached}/{len(points)} points cached")
 
         busy = {"s": 0.0}
-        n_finished = {"n": 0}
 
         def finish(record, t_submit):
             record["cached"] = False
             records[record["index"]] = record
             busy["s"] += record["wall_time_s"] or 0.0
-            n_finished["n"] += 1
             if store is not None:
                 store.append(spec.name, record)
             if board is not None:
                 board.point_done(outcome=record["outcome"],
                                  worker=record["worker"],
                                  wall_s=record["wall_time_s"])
-                if backend != "local-queue":
-                    # The queue loop reports lease-accurate in-flight
-                    # counts itself; pool/inline approximate with the
-                    # slots that can still be busy.
-                    board.set_running(min(workers,
-                                          len(todo) - n_finished["n"]))
             # The span's duration is submit-to-finish latency as the
             # orchestrator saw it; ``exec_s`` is the time the point
             # actually computed — the gap is queueing + transport.
@@ -785,27 +726,21 @@ def _run_campaign_impl(spec, workers, store, force, say, retries,
                 f"(worker {record['worker']})")
 
         extras = {}
-        if board is not None and todo and backend != "local-queue":
-            board.set_running(min(workers, len(todo)))
-        if todo and backend == "local-queue":
-            from repro.campaign import queue as queue_backend
+        if todo and (workers > 1 or timeout_s):
+            from repro.campaign.queue import run_local_queue
 
-            extras["queue"] = queue_backend.run_local_queue(
+            extras["queue"] = run_local_queue(
                 spec, code_version, todo, workers, retries, timeout_s,
                 start_method, trace_dir, finish, clock,
                 shard_size=shard_size, board=board)
-        elif todo and workers > 1:
-            from repro.campaign import queue as queue_backend
-
-            queue_backend.run_pool(spec, code_version, todo, workers,
-                                   retries, timeout_s, start_method,
-                                   trace_dir, finish, clock)
         else:
+            if board is not None and todo:
+                board.set_running(1)
             for key, pt in todo:
                 t_submit = clock.elapsed
                 finish(_execute_point(spec.kind, spec.name, spec.base_seed,
-                                      pt.index, pt.params, key,
-                                      retries, timeout_s), t_submit)
+                                      pt.index, pt.params, key, retries),
+                       t_submit)
 
         elapsed = clock.elapsed
         run_span.set(n_cached=n_cached, n_executed=len(todo),
@@ -826,7 +761,7 @@ def _run_campaign_impl(spec, workers, store, force, say, retries,
 
 def resume_campaign(name, store, workers=1, echo=None, retries=None,
                     timeout_s=None, start_method=None, trace=False,
-                    backend=None, shard_size=None, heartbeat_s=None):
+                    shard_size=None, heartbeat_s=None):
     """Pick up an interrupted campaign from its persisted spec + records.
 
     Loads the spec the killed run saved alongside its records, then
@@ -834,12 +769,12 @@ def resume_campaign(name, store, workers=1, echo=None, retries=None,
     served from their stored records, missing points re-execute from
     their deterministic per-point substreams — so the finished record
     set is bit-identical to a run that was never interrupted,
-    regardless of where the kill landed or which backend/worker count
-    finishes the job. Never forces recomputation.
+    regardless of where the kill landed or which worker count finishes
+    the job. Never forces recomputation.
     """
     spec = store.load_spec(name)
     return run_campaign(spec, workers=workers, store=store, force=False,
                         echo=echo, retries=retries, timeout_s=timeout_s,
                         start_method=start_method, trace=trace,
-                        backend=backend, shard_size=shard_size,
-                        resume=True, heartbeat_s=heartbeat_s)
+                        shard_size=shard_size, resume=True,
+                        heartbeat_s=heartbeat_s)

@@ -14,12 +14,12 @@ The pool is an optimisation, never a semantic: draws are addressed by
 ``(entropy, trial index)`` substreams, so a grid that finds no pool —
 or one whose entropy/shape doesn't cover it — regenerates locally and
 produces bit-identical records. ``repro campaign run --workers N`` with
-and without the pool, and with ``--backend pool`` (which never builds
-one), all store the same bytes.
+and without the pool, and the inline ``--workers 1`` run (which never
+builds one), all store the same bytes.
 
 Enabling it: give every point of a ``link-grid`` campaign the same
-integer ``draw_seed`` param (:data:`POOL_PARAM`). The local-queue
-backend then plans a pool covering the campaign's maximum trial count
+integer ``draw_seed`` param (:data:`POOL_PARAM`). The local queue then
+plans a pool covering the campaign's maximum trial count
 and sample length (:func:`plan_pool`), creates it before spawning
 workers, and unlinks it after the run. Pools above
 :data:`MAX_POOL_BYTES` are skipped — regeneration beats swapping.

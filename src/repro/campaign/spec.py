@@ -28,13 +28,13 @@ how many extra deterministic attempts a failing point gets, and how
 long one point may run before being recorded as ``timeout``. Both are
 optional and both can be overridden per run from the CLI.
 
-``backend`` and ``store`` pick *how* the sweep executes and *where*
-records land (see :mod:`repro.campaign.queue` and
-:mod:`repro.campaign.store`). Neither enters the cache key or the
-per-point seeds, so the same spec run under any backend/store
-combination produces bit-identical records — which is what makes a
-killed run resumable under a different configuration than it started
-with.
+``store`` picks *where* records land (see :mod:`repro.campaign.store`).
+It enters neither the cache key nor the per-point seeds, so the same
+spec run against either store, at any worker count, produces
+bit-identical records — which is what makes a killed run resumable
+under a different configuration than it started with. ``backend`` is a
+retired field that selects nothing; it is kept only so that specs
+written by earlier versions still load.
 """
 
 from __future__ import annotations
@@ -50,11 +50,9 @@ from repro.errors import ConfigurationError
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
-#: Execution backends: ``pool`` is the PR-1 ProcessPoolExecutor;
-#: ``local-queue`` shards the grid into leased work units (see
-#: :mod:`repro.campaign.queue`). Single source of truth — the store,
-#: queue, runner, and CLI all import these rather than re-listing them.
-EXECUTION_BACKENDS = ("pool", "local-queue")
+#: Values the retired ``backend`` spec field may still carry in stored
+#: specs. Every run uses the one executor in :mod:`repro.campaign.queue`.
+_LEGACY_BACKENDS = ("pool", "local-queue")
 
 #: Results-store backends (see :mod:`repro.campaign.store`).
 STORE_BACKENDS = ("jsonl", "sqlite")
@@ -105,11 +103,12 @@ class CampaignSpec:
     #: stream; see :mod:`repro.campaign.seeding`.
     retries: int = 0
     #: Per-point wall-clock budget in seconds; ``None`` means unlimited.
-    #: A point still running at the deadline is recorded as ``timeout``
-    #: and the sweep moves on (timeouts are not retried).
+    #: A point still running at the deadline has its worker process
+    #: killed, is recorded as ``timeout``, and is not retried.
     timeout_s: float = None
-    #: Default execution backend for this sweep (``None`` = runner
-    #: default, currently ``pool``). Overridable with ``--backend``.
+    #: Retired execution-backend knob: selects nothing. Accepted (as
+    #: ``None``, ``"pool"`` or ``"local-queue"``) only so that stored
+    #: specs from earlier versions still load and resume.
     backend: str = None
     #: Default results-store backend (``None`` = resolve from
     #: environment / existing records / ``jsonl``). Overridable with
@@ -168,10 +167,10 @@ class CampaignSpec:
                     f"got {self.timeout_s!r}"
                 )
         if self.backend is not None and self.backend not in \
-                EXECUTION_BACKENDS:
+                _LEGACY_BACKENDS:
             raise ConfigurationError(
                 f"unknown execution backend {self.backend!r}; available: "
-                f"{', '.join(EXECUTION_BACKENDS)}"
+                f"{', '.join(_LEGACY_BACKENDS)}"
             )
         if self.store is not None and self.store not in STORE_BACKENDS:
             raise ConfigurationError(

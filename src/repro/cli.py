@@ -24,8 +24,8 @@ campaign run|resume|watch|ls|show|report
     (``--retries``/``--timeout``); ``show --failures`` prints the
     per-point failure table. ``run --trace`` records structured
     telemetry (spans + counters) to ``results/<name>/trace/``.
-    ``--backend local-queue`` shards the grid into leased work units
-    that survive worker death; ``--store sqlite`` (or
+    ``--workers N`` shards the grid into work units leased to worker
+    processes, which survives worker death; ``--store sqlite`` (or
     ``REPRO_STORE=sqlite``) keeps records in an indexed WAL-journaled
     database instead of JSONL. ``campaign resume NAME`` picks a killed
     run back up from whatever its store already holds — the completed
@@ -312,7 +312,7 @@ def _cmd_campaign(args):
                                   echo=print if args.verbose else None,
                                   retries=args.retries,
                                   timeout_s=args.timeout,
-                                  trace=args.trace, backend=args.backend,
+                                  trace=args.trace,
                                   shard_size=args.shard_size,
                                   heartbeat_s=args.heartbeat)
         finally:
@@ -326,8 +326,7 @@ def _cmd_campaign(args):
                 args.name, store, workers=args.workers,
                 echo=print if args.verbose else None,
                 retries=args.retries, timeout_s=args.timeout,
-                trace=args.trace, backend=args.backend,
-                shard_size=args.shard_size,
+                trace=args.trace, shard_size=args.shard_size,
                 heartbeat_s=args.heartbeat)
         finally:
             store.close()
@@ -581,21 +580,13 @@ def build_parser():
                             "backend already holds this campaign's "
                             "records, else jsonl)")
 
-    def add_backend_args(p):
-        from repro.campaign.spec import EXECUTION_BACKENDS
-
-        p.add_argument("--backend", default=None,
-                       choices=EXECUTION_BACKENDS,
-                       help="execution backend (default: the spec's "
-                            "backend knob, else pool); records are "
-                            "bit-identical either way")
-        p.add_argument("--shard-size", type=int, default=None,
-                       help="points per local-queue work unit "
-                            "(default: ~4 units per worker)")
-
     def add_run_knobs(p):
         p.add_argument("--workers", type=int, default=1,
-                       help="pool size; any value is bit-identical to 1")
+                       help="worker processes; any value is "
+                            "bit-identical to 1")
+        p.add_argument("--shard-size", type=int, default=None,
+                       help="points per work unit when running on "
+                            "workers (default: ~4 units per worker)")
         p.add_argument("--report", action="store_true",
                        help="print the spec's default pivot after running")
         p.add_argument("--verbose", action="store_true",
@@ -604,8 +595,9 @@ def build_parser():
                        help="extra attempts per failing point "
                             "(default: the spec's retries)")
         p.add_argument("--timeout", type=float, default=None,
-                       help="per-point wall-clock budget in seconds; "
-                            "0 disables (default: the spec's timeout_s)")
+                       help="per-point wall-clock budget in seconds, "
+                            "enforced by killing the worker; 0 disables "
+                            "(default: the spec's timeout_s)")
         p.add_argument("--trace", action="store_true",
                        help="record structured telemetry to "
                             "results/<name>/trace/ (read it back with "
@@ -614,7 +606,6 @@ def build_parser():
                        help="live-status cadence in seconds: how often "
                             "workers heartbeat and status.json refreshes "
                             "(default: $REPRO_HEARTBEAT_S, else 1.0)")
-        add_backend_args(p)
         add_store_arg(p)
         add_results_arg(p)
 
@@ -695,7 +686,8 @@ def build_parser():
                           help="adaptive MC trial ceiling per cell")
     p_sbuild.add_argument("--seed", type=int, default=0)
     p_sbuild.add_argument("--workers", type=int, default=1,
-                          help="campaign pool size (bit-identical to 1)")
+                          help="campaign worker processes "
+                               "(bit-identical to 1)")
     p_sbuild.add_argument("--force", action="store_true",
                           help="remeasure cells even when cached")
     p_sbuild.add_argument("--trace", action="store_true",

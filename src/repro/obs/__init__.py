@@ -48,7 +48,6 @@ __all__ = [
     "StopWatch",
     "TraceWriter",
     "Tracer",
-    "abandon_thread",
     "aggregate",
     "counter",
     "current_tracer",
@@ -61,7 +60,6 @@ __all__ = [
     "part_path",
     "read_trace",
     "reset_trace_dir",
-    "revive_thread",
     "set_tracer",
     "span",
     "summary_table",
@@ -137,27 +135,3 @@ def timed():
     """A :class:`StopWatch` — the repo's one wall-time measuring tool."""
     return StopWatch()
 
-
-def abandon_thread(ident):
-    """Suppress all future telemetry from thread ``ident``.
-
-    The campaign runner calls this when it abandons a timed-out point's
-    daemon thread: the thread cannot be killed and keeps executing —
-    and emitting — but its point is already recorded as ``timeout``, so
-    anything it says from now on would corrupt the trace.
-    """
-    tracer = _TRACER
-    if tracer is not None:
-        tracer.abandon_thread(ident)
-
-
-def revive_thread(ident):
-    """Clear any suppression left on a (reused) thread ident.
-
-    New worker threads call this first thing: thread idents are
-    recycled by the OS, so a fresh thread may inherit the suppression
-    of an abandoned predecessor with the same ident.
-    """
-    tracer = _TRACER
-    if tracer is not None:
-        tracer.revive_thread(ident)

@@ -9,12 +9,12 @@ wall-time and MC batch-latency histograms). ``repro campaign watch``
 tails this file; the future ``campaign serve`` HTTP API will serve the
 same document.
 
-The :class:`StatusBoard` is owned by the campaign runner. Backends feed
-it:
+The :class:`StatusBoard` is owned by the campaign runner. The runner
+and its queue feed it:
 
 * every completed point (``point_done``) updates the counts and the
   throughput EWMA;
-* ``local-queue`` workers send a heartbeat message on a fixed cadence
+* queue workers send a heartbeat message on a fixed cadence
   (carrying their cumulative metrics snapshot, and flushing their
   tracer's in-flight counter deltas to disk at the same time), which
   lands in ``worker_heartbeat`` — so a worker grinding through one long
@@ -130,8 +130,8 @@ class StatusBoard:
     store-less runs and unit tests use it.
     """
 
-    def __init__(self, path, campaign, total, workers=1, backend="pool",
-                 heartbeat_s=None, stall_after_s=None, registry=None):
+    def __init__(self, path, campaign, total, workers=1, heartbeat_s=None,
+                 stall_after_s=None, registry=None):
         self.path = os.fspath(path) if path is not None else None
         self.campaign = campaign
         self.heartbeat_s = float(heartbeat_s or default_heartbeat_s())
@@ -146,7 +146,6 @@ class StatusBoard:
         self._m_start = time.monotonic()
         self._state = "running"
         self._total = int(total)
-        self._backend = backend
         self._workers_target = int(workers)
         self._done = 0
         self._ok = 0
@@ -201,7 +200,7 @@ class StatusBoard:
             self._running = max(0, int(n))
 
     def set_queue_stats(self, **stats):
-        """Attach backend bookkeeping (leased units, backlog depth...)."""
+        """Attach queue bookkeeping (leased units, backlog depth...)."""
         with self._lock:
             self._queue = dict(self._queue or {}, **stats)
 
@@ -317,7 +316,6 @@ class StatusBoard:
                 "schema": 1,
                 "campaign": self.campaign,
                 "state": self._state,
-                "backend": self._backend,
                 "workers_target": self._workers_target,
                 "t_start": self._t_start,
                 "t_update": now_wall,
@@ -415,7 +413,6 @@ def status_lines(status, now=None):
     lines = [
         f"campaign {status.get('campaign', '?')} "
         f"[{status.get('state', '?')}] "
-        f"backend={status.get('backend', '?')} "
         f"elapsed {_fmt_duration(status.get('elapsed_s'))} "
         f"(status age {status['age_of_update_s']:.1f}s)",
         f"  [{bar}] {complete}/{total} "

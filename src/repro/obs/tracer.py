@@ -5,8 +5,8 @@ A :class:`Tracer` records two event types:
 **Spans** — named, attributed intervals with a parent/child structure.
 ``tracer.span("mc.run_trials", target="per")`` opens a span; spans
 opened while another is active nest under it (the active-span stack is
-thread-local, so a point function running on a timeout thread nests
-correctly). Closing a span stamps its duration and hands it to the
+thread-local, so spans opened on different threads never nest under
+each other). Closing a span stamps its duration and hands it to the
 writer; when the *top-level* span of a thread closes, everything
 buffered since — child spans and counter deltas — is flushed to disk in
 one append, so a worker that dies mid-campaign loses at most the point
@@ -63,7 +63,7 @@ class Span:
     """
 
     __slots__ = ("name", "attrs", "span_id", "parent_id", "t_wall",
-                 "duration_s", "_tracer", "_t0", "_suppressed")
+                 "duration_s", "_tracer", "_t0")
 
     def __init__(self, tracer, name, attrs):
         self._tracer = tracer
@@ -73,7 +73,6 @@ class Span:
         self.parent_id = None
         self.t_wall = None
         self.duration_s = None
-        self._suppressed = False
 
     def set(self, **attrs):
         """Attach or overwrite attributes on the open span."""
@@ -142,38 +141,6 @@ class Tracer:
         self._counters = {}
         self._pending = {}
         self._span_stats = {}
-        # Thread idents whose telemetry is dropped: timeout threads the
-        # campaign runner abandoned keep executing (and emitting) after
-        # their point is already recorded as ``timeout`` — without
-        # suppression those late events would merge into the trace as
-        # phantom campaign work.
-        self._abandoned = set()
-
-    # -- abandoned threads ---------------------------------------------------
-    #
-    # The hot-path checks below short-circuit on the empty set (falsy),
-    # so a tracer that never abandons anything pays one truth test.
-
-    def abandon_thread(self, ident):
-        """Drop all telemetry the thread ``ident`` emits from now on."""
-        with self._lock:
-            self._abandoned.add(ident)
-
-    def revive_thread(self, ident):
-        """Clear suppression for ``ident`` (call at thread birth).
-
-        The OS reuses thread idents, so a fresh worker thread must
-        shed any suppression a previously-abandoned thread left on the
-        same ident before it emits anything.
-        """
-        if not self._abandoned:
-            return
-        with self._lock:
-            self._abandoned.discard(ident)
-
-    def _is_abandoned(self):
-        return self._abandoned and \
-            threading.get_ident() in self._abandoned
 
     # -- recording -----------------------------------------------------------
 
@@ -183,8 +150,6 @@ class Tracer:
 
     def counter(self, name, n=1):
         """Add ``n`` to the named counter (thread-safe)."""
-        if self._is_abandoned():
-            return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
             self._pending[name] = self._pending.get(name, 0) + n
@@ -198,8 +163,6 @@ class Tracer:
         flight at once. The event nests under the calling thread's
         current span.
         """
-        if self._is_abandoned():
-            return
         stack = self._stack()
         parent = stack[-1].span_id if stack else None
         with self._lock:
@@ -229,9 +192,6 @@ class Tracer:
         return stack
 
     def _open_span(self, span):
-        if self._is_abandoned():
-            span._suppressed = True
-            return
         stack = self._stack()
         span.parent_id = stack[-1].span_id if stack else None
         span.t_wall = time.time()
@@ -241,20 +201,11 @@ class Tracer:
         stack.append(span)
 
     def _close_span(self, span):
-        if span._suppressed:
-            return
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
         elif span in stack:  # exited out of order; drop it and its orphans
             del stack[stack.index(span):]
-        if self._is_abandoned():
-            # Opened before the abandonment, closing after: the stack is
-            # unwound above but the record is dropped and — critically —
-            # the empty-stack flush is NOT triggered, so an abandoned
-            # thread's top-level span closing late cannot push phantom
-            # events (or buffered counter deltas) into the trace file.
-            return
         with self._lock:
             self._note_span(span.name, span.duration_s)
             self._buffer.append({

@@ -293,7 +293,7 @@ class TestLiveStatusEndToEnd:
         spec = CampaignSpec(name="live-done", kind="test-live-slow",
                             factors={"x": list(range(6))}, base_seed=5)
         result = run_campaign(spec, workers=2, store=store,
-                              backend="local-queue", heartbeat_s=0.1)
+                              heartbeat_s=0.1)
         assert result.n_failed == 0
         doc = live.read_status(store.status_path("live-done"))
         assert doc["state"] == "done"
@@ -316,8 +316,8 @@ class TestLiveStatusEndToEnd:
             factors={"x": list(range(8))},
             fixed={"die_at": 3, "flag_dir": str(flag_dir)},
             base_seed=23)
-        result = run_campaign(spec, workers=2, backend="local-queue",
-                              shard_size=2, store=store, heartbeat_s=0.1)
+        result = run_campaign(spec, workers=2, shard_size=2, store=store,
+                              heartbeat_s=0.1)
         assert all(r["outcome"] == "ok" for r in result.records)
         assert result.extras["queue"]["n_requeued"] >= 1
 
@@ -346,8 +346,7 @@ class TestLiveStatusEndToEnd:
         done = {}
 
         def run():
-            done["result"] = run_campaign(spec, workers=1, store=store,
-                                          backend="local-queue",
+            done["result"] = run_campaign(spec, workers=2, store=store,
                                           heartbeat_s=0.05)
 
         thread = threading.Thread(target=run)

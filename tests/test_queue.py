@@ -1,7 +1,10 @@
-"""Tests for the sharded local-queue execution backend."""
+"""Tests for the sharded local-queue campaign executor."""
 
+import json
 import os
+import re
 import signal
+import threading
 import time
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from repro.campaign import CampaignSpec, ResultsStore, run_campaign
 from repro.campaign.queue import (WorkQueue, WorkUnit, default_shard_size,
                                   shard_points)
+from repro.campaign.store import RECORDS_FILE, SPEC_FILE
 from repro.campaign.runner import register_point_kind
 from repro.campaign.seeding import point_generator
 from repro.errors import ConfigurationError
@@ -51,7 +55,38 @@ def _stream_or_kill_point(params, rng):
     return {"t": time.time(), "pid": float(os.getpid())}
 
 
+def _hang_point(params, rng):
+    """Hang far past any test timeout when ``x`` is listed in ``hang``.
+
+    With ``counter_dir`` set, a listed point raises on its first call
+    (counted on disk) and hangs only on the retry.
+    """
+    x = int(params["x"])
+    if x in params.get("hang", ()):
+        if "counter_dir" in params:
+            path = os.path.join(params["counter_dir"], f"{x}.count")
+            if not os.path.exists(path):
+                open(path, "w").close()
+                raise RuntimeError(f"first attempt of x={x} fails fast")
+        time.sleep(60.0)
+    return {"draw": float(rng.integers(0, 1 << 30))}
+
+
+def _pid_alive(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
 register_point_kind("test-queue-draw", _queue_draw_point, code_version="1")
+register_point_kind("test-queue-hang", _hang_point, code_version="1")
 register_point_kind("test-die-once", _die_once_point, code_version="1")
 register_point_kind("test-stream-kill", _stream_or_kill_point,
                     code_version="1")
@@ -147,46 +182,32 @@ class TestWorkQueue:
 
 
 class TestLocalQueueBackend:
-    def test_bit_identical_to_serial_and_pool(self, tmp_path):
+    def test_bit_identical_to_serial(self, tmp_path):
         spec = draw_spec()
         serial = run_campaign(spec, store=ResultsStore(tmp_path / "a"))
-        queued = run_campaign(spec, workers=2, backend="local-queue",
+        queued = run_campaign(spec, workers=2,
                               store=ResultsStore(tmp_path / "b"))
-        pooled = run_campaign(spec, workers=2, backend="pool",
-                              store=ResultsStore(tmp_path / "c"))
-        assert (serial.metrics_by_index() == queued.metrics_by_index()
-                == pooled.metrics_by_index())
+        assert serial.metrics_by_index() == queued.metrics_by_index()
         # Queue points really ran out of process.
         assert os.getpid() not in {r["worker"] for r in queued.records}
 
     def test_queue_stats_surface_in_extras(self, tmp_path):
-        result = run_campaign(draw_spec(), workers=2,
-                              backend="local-queue", shard_size=2,
+        result = run_campaign(draw_spec(), workers=2, shard_size=2,
                               store=ResultsStore(tmp_path))
         stats = result.extras["queue"]
-        assert stats["backend"] == "local-queue"
         assert stats["n_units"] == 4  # 8 points / shard_size 2
         assert stats["shard_size"] == 2
         assert stats["n_leases"] == stats["n_acks"] == 4
         assert stats["n_requeued"] == 0
         assert stats["n_lost"] == 0
 
-    def test_spec_backend_knob_selects_queue(self, tmp_path):
-        result = run_campaign(draw_spec(backend="local-queue"),
-                              workers=2, store=ResultsStore(tmp_path))
-        assert result.extras["queue"]["backend"] == "local-queue"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            run_campaign(draw_spec(), workers=2, backend="slurm",
-                         store=ResultsStore(tmp_path))
-
     def test_single_worker_queue_still_completes(self, tmp_path):
-        result = run_campaign(draw_spec(n=3), workers=1,
-                              backend="local-queue",
+        # A timeout is what sends a one-worker run through the queue.
+        result = run_campaign(draw_spec(n=3), workers=1, timeout_s=60.0,
                               store=ResultsStore(tmp_path))
         assert result.n_executed == 3
         assert all(r["outcome"] == "ok" for r in result.records)
+        assert result.extras["queue"]["n_timeouts"] == 0
 
 
 class TestWorkerDeath:
@@ -202,8 +223,7 @@ class TestWorkerDeath:
             fixed={"die_at": 3, "flag_dir": str(flag_dir)},
             base_seed=23,
         )
-        result = run_campaign(spec, workers=2, backend="local-queue",
-                              shard_size=2,
+        result = run_campaign(spec, workers=2, shard_size=2,
                               store=ResultsStore(tmp_path / "r"))
         assert all(r["outcome"] == "ok" for r in result.records)
         stats = result.extras["queue"]
@@ -230,8 +250,7 @@ class TestWorkerDeath:
                    "sleep_s": 0.05},
             base_seed=31,
         )
-        result = run_campaign(spec, workers=2, backend="local-queue",
-                              shard_size=2)
+        result = run_campaign(spec, workers=2, shard_size=2)
         assert all(r["outcome"] == "ok" for r in result.records)
         stats = result.extras["queue"]
         assert stats["n_requeued"] >= 1 and stats["n_respawns"] >= 1
@@ -258,11 +277,111 @@ class TestWorkerDeath:
             fixed={"die_at": 1, "flag_dir": str(flag_dir)},
             base_seed=29,
         )
-        result = run_campaign(spec, workers=1, backend="local-queue",
-                              shard_size=1,
+        result = run_campaign(spec, workers=2, shard_size=1,
                               store=ResultsStore(tmp_path / "r"))
         by_x = {r["params"]["x"]: r for r in result.records}
         assert by_x[0]["outcome"] == "ok"
         assert by_x[1]["outcome"] == "error"
         assert "work unit lost" in by_x[1]["error"]
         assert result.extras["queue"]["n_lost"] == 1
+
+
+def hang_spec(n, hang, **overrides):
+    fields = dict(name="hangs", kind="test-queue-hang",
+                  factors={"x": list(range(n))}, fixed={"hang": list(hang)},
+                  base_seed=19, timeout_s=0.3)
+    fields.update(overrides)
+    return CampaignSpec(**fields)
+
+
+class TestTimeoutKill:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nothing_runs_a_timed_out_point(self, workers):
+        """Once a ``timeout`` record lands, the worker that ran the
+        point is dead and the coordinator holds no thread still
+        executing it."""
+        landed = []
+
+        def echo(msg):
+            match = re.search(r"\] timeout in .*\(worker (\d+)\)", msg)
+            if match:
+                pid = int(match.group(1))
+                landed.append((pid, _pid_alive(pid),
+                               {t.name for t in threading.enumerate()}))
+
+        result = run_campaign(hang_spec(4, [1]), workers=workers,
+                              echo=echo)
+        assert [r["outcome"] for r in result.records] == [
+            "ok", "timeout", "ok", "ok"]
+        assert len(landed) == 1
+        pid, alive, threads = landed[0]
+        assert pid == result.records[1]["worker"] != os.getpid()
+        assert not alive, "the timed-out point's worker is still running"
+        assert "campaign-point" not in threads
+
+    def test_timeout_kills_do_not_spend_the_respawn_budget(self):
+        """Three hung points at workers=1: each kill is replaced even
+        though the crash budget (one respawn per worker) is smaller."""
+        result = run_campaign(hang_spec(6, [0, 2, 5]), workers=1)
+        by_x = {r["params"]["x"]: r for r in result.records}
+        assert {x: r["outcome"] for x, r in by_x.items()} == {
+            0: "timeout", 1: "ok", 2: "timeout", 3: "ok", 4: "ok",
+            5: "timeout"}
+        for x in (0, 2, 5):
+            assert by_x[x]["error_type"] == "TimeoutError"
+            assert by_x[x]["attempts"] == 1
+        assert not [r for r in result.records
+                    if "work unit lost" in (r["error"] or "")]
+        stats = result.extras["queue"]
+        assert stats["n_timeouts"] == 3
+        assert stats["n_respawns"] == 0
+        assert stats["n_lost"] == 0
+        # Points after a kill drew from their usual substreams.
+        for x in (1, 3, 4):
+            expected = float(point_generator(19, by_x[x]["index"])
+                             .integers(0, 1 << 30))
+            assert by_x[x]["metrics"]["draw"] == expected
+
+    def test_attempts_count_the_attempt_that_hung(self, tmp_path):
+        spec = hang_spec(2, [1], retries=2,
+                         fixed={"hang": [1], "counter_dir": str(tmp_path)})
+        result = run_campaign(spec, workers=1)
+        hung = result.records[1]
+        assert hung["outcome"] == "timeout"
+        assert hung["attempts"] == 2  # one fast failure, then the hang
+        assert hung["wall_time_s"] >= 0.3
+
+
+class TestLegacyBackendField:
+    """``CampaignSpec.backend`` selects nothing but still loads."""
+
+    def test_stored_pool_spec_resumes(self, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        store = ResultsStore(tmp_path)
+        run_campaign(draw_spec(n=6, name="legacy", backend="pool"),
+                     store=store)
+        cdir = store.campaign_dir("legacy")
+        with open(os.path.join(cdir, SPEC_FILE)) as fh:
+            assert json.load(fh)["backend"] == "pool"
+        path = os.path.join(cdir, RECORDS_FILE)
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        with open(path, "wb") as fh:
+            fh.writelines(lines[:3])
+
+        assert main(["campaign", "resume", "legacy", "--workers", "2",
+                     "--results", str(tmp_path)]) == 0
+        assert store.count("legacy") == 6
+        assert store.load_spec("legacy").backend == "pool"
+
+    def test_local_queue_value_still_constructs(self):
+        assert draw_spec(backend="local-queue").backend == "local-queue"
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigurationError):
+            draw_spec(backend="slurm")
+        with pytest.raises(ConfigurationError):
+            CampaignSpec.from_dict(dict(draw_spec().to_dict(),
+                                        backend="slurm"))

@@ -189,6 +189,80 @@ class TestSigkillResume:
         fresh.close()
 
 
+def _descendants(pid):
+    """Pids of every live process below ``pid`` (read from ``/proc``)."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        children.setdefault(int(fields[1]), []).append(int(entry))
+    found, frontier = [], [pid]
+    while frontier:
+        kids = children.get(frontier.pop(), [])
+        found += kids
+        frontier += kids
+    return found
+
+
+def _alive(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestCoordinatorDeath:
+    def test_killed_coordinator_leaves_no_orphan_workers(self, tmp_path):
+        """SIGKILL a ``repro campaign run --workers 2`` coordinator
+        mid-run: every process it spawned must be gone within 5 s."""
+        spec = link_spec(n=12, name="orphans", n_packets=400,
+                         payload_bytes=100)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        results = tmp_path / "r"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH",
+                                                           "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "run",
+             str(spec_path), "--results", str(results), "--store", "jsonl",
+             "--workers", "2"],
+            env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            store = ResultsStore(results)
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline and proc.poll() is None:
+                if os.path.exists(os.path.join(
+                        store.campaign_dir("orphans"), RECORDS_FILE)):
+                    break  # points are landing: the workers are busy
+                time.sleep(0.02)
+            assert proc.poll() is None, "run finished before the kill"
+            workers = _descendants(proc.pid)
+            assert workers, "coordinator has no worker processes"
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(_alive, workers)):
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if _alive(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans, f"orphaned workers still running: {orphans}"
+
+
 class TestResumeTraceAppend:
     def test_resumed_run_appends_to_the_campaign_trace(self, tmp_path):
         """A traced resume extends the interrupted run's trace instead
