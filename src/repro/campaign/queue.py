@@ -197,12 +197,19 @@ def _heartbeat_loop(stop, result_q, pid, parent_pid, heartbeat_s,
             tracer = runner._WORKER_TRACERS.get(trace_dir)
             if tracer is not None:
                 tracer.flush()
-        try:
-            result_q.put(("heartbeat", -1, pid,
-                          {"t": time.time(),
-                           "metrics": registry.snapshot()}))
-        except (OSError, ValueError):
+        if not _send_heartbeat(result_q, pid, registry):
             return  # parent went away; nothing left to tell it
+
+
+def _send_heartbeat(result_q, pid, registry):
+    """Ship the worker's cumulative metrics snapshot to the parent;
+    False once the parent is gone."""
+    try:
+        result_q.put(("heartbeat", -1, pid,
+                      {"t": time.time(), "metrics": registry.snapshot()}))
+    except (OSError, ValueError):
+        return False
+    return True
 
 
 def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
@@ -234,6 +241,9 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
     points regenerate the same draws locally, bit for bit.
     """
     parent_pid = os.getppid()
+    # This worker's counter store, fresh whatever a fork inherited; its
+    # tracer (runner._process_tracer) is built over it.
+    registry = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
     if initializer is not None:
         initializer(*initargs)
     from repro.campaign import runner
@@ -246,11 +256,8 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
             pass
 
     pid = os.getpid()
-    registry = None
     if heartbeat_s:
-        registry = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
-        result_q.put(("heartbeat", -1, pid,
-                      {"t": time.time(), "metrics": registry.snapshot()}))
+        _send_heartbeat(result_q, pid, registry)
     stop_beat = threading.Event()
     threading.Thread(
         target=_heartbeat_loop, daemon=True, name="campaign-heartbeat",
@@ -277,13 +284,7 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
         if heartbeat_s:
             # Last will: a campaign faster than one heartbeat interval
             # would otherwise never ship this worker's metrics.
-            try:
-                result_q.put(("heartbeat", -1, pid,
-                              {"t": time.time(),
-                               "metrics":
-                               obs_metrics.current_registry().snapshot()}))
-            except (OSError, ValueError):
-                pass
+            _send_heartbeat(result_q, pid, registry)
 
 
 def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,

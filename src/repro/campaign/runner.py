@@ -329,7 +329,8 @@ _WORKER_TRACERS = {}
 
 
 def _process_tracer(trace_dir):
-    """This process's tracer writing to ``trace_dir`` (created once)."""
+    """This process's tracer writing to ``trace_dir`` (created once,
+    over the worker's registry)."""
     tracer = _WORKER_TRACERS.get(trace_dir)
     if tracer is None:
         tracer = obs.Tracer(obs.TraceWriter(
@@ -613,27 +614,20 @@ def _run_campaign(spec, workers, store, force, echo, retries, timeout_s,
     say = echo or (lambda _msg: None)
     points = spec.expand()
 
-    # Live status: store-backed runs keep results/<name>/status.json
-    # fresh for `repro campaign watch`. The board owns a metrics
-    # registry (installed process-wide below so the MC engine's batch
-    # latency histograms land in it) and a ticker thread that re-writes
-    # the file every heartbeat even when nothing completes.
+    # One counter store per process: the active registry (a traced
+    # run's tracer installed its own) or a fresh one, installed for the
+    # run. Store-backed runs also publish it in status.json for `repro
+    # campaign watch`, re-written every heartbeat by the board's ticker
+    # thread even when nothing completes.
+    registry = obs_metrics.current_registry() or obs_metrics.MetricsRegistry()
     board = None
-    registry = None
     if store is not None:
-        registry = obs_metrics.MetricsRegistry()
         board = live.StatusBoard(
             live.status_path(store.campaign_dir(spec.name)),
             campaign=spec.name, total=len(points), workers=workers,
             heartbeat_s=heartbeat_s, registry=registry)
     try:
-        if registry is not None:
-            with obs_metrics.use_registry(registry):
-                result = _run_campaign_impl(
-                    spec, workers, store, force, say, retries, timeout_s,
-                    start_method, trace_dir, shard_size, resume,
-                    code_version, points, board)
-        else:
+        with obs_metrics.use_registry(registry):
             result = _run_campaign_impl(
                 spec, workers, store, force, say, retries, timeout_s,
                 start_method, trace_dir, shard_size, resume,

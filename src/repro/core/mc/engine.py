@@ -42,7 +42,6 @@ object *and* ship error bars.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,7 +123,6 @@ def analytic_result(estimate, *, target, method="union-bound",
         raise ConfigurationError(
             f"analytic rate estimate must be in [0, 1], got {estimate}")
     obs.counter("mc.stop.analytic")
-    obs_metrics.count("mc.stop.analytic")
     return McResult(
         estimate=estimate,
         ci_low=0.0,
@@ -139,6 +137,25 @@ def analytic_result(estimate, *, target, method="union-bound",
         precision=None,
         totals=dict(totals or {}),
     )
+
+
+def _timed_batch(n, batch_fn, *args):
+    """Run ``batch_fn(*args)`` as one traced batch of ``n`` trials,
+    histogramming its wall time as ``mc.batch_s``."""
+    with obs.span("mc.batch", n=n), obs.timed() as watch:
+        out = batch_fn(*args)
+    obs_metrics.observe("mc.batch_s", watch.seconds)
+    return out
+
+
+def _close_run(span, clock, n_trials, **attrs):
+    """Count a finished run's trials and report its trial rate once,
+    as the ``mc.trials_per_s`` gauge and as a span attribute."""
+    elapsed = clock.elapsed
+    rate = n_trials / elapsed if elapsed > 0 else 0.0
+    obs.counter("mc.trials", n_trials)
+    obs_metrics.gauge("mc.trials_per_s", rate)
+    span.set(n_trials=n_trials, trials_per_s=rate, **attrs)
 
 
 def _make_accumulator(estimand, method, quantile):
@@ -274,18 +291,6 @@ def run_trials(trial_fn, n_trials=None, *, target, rng=None,
                 )
             acc.add(values)
 
-    def run_batch(m):
-        """One traced batch; histograms its latency when metrics are on."""
-        registry = obs_metrics.current_registry()
-        with obs.span("mc.batch", n=m):
-            if registry is None:
-                consume(m)
-            else:
-                t0 = time.perf_counter()
-                consume(m)
-                registry.observe("mc.batch_s",
-                                 time.perf_counter() - t0)
-
     with obs.span("mc.run_trials", target=target, estimand=estimand,
                   mode="fixed" if precision is None
                   else "adaptive") as mc_span, obs.timed() as clock:
@@ -300,29 +305,21 @@ def run_trials(trial_fn, n_trials=None, *, target, rng=None,
                 remaining = budget
                 while remaining > 0:
                     m = min(int(batch_size), remaining)
-                    run_batch(m)
+                    _timed_batch(m, consume, m)
                     remaining -= m
             else:
-                run_batch(budget)
+                _timed_batch(budget, consume, budget)
             stop_reason = "budget"
         else:
             stop_reason = "max_trials"
             while acc.n_trials < ceiling:
                 m = min(int(batch_size), ceiling - acc.n_trials)
-                run_batch(m)
+                _timed_batch(m, consume, m)
                 if acc.rel_half_width(confidence) <= precision:
                     stop_reason = "precision"
                     break
-        obs.counter("mc.trials", acc.n_trials)
         obs.counter(f"mc.stop.{stop_reason}")
-        obs_metrics.count("mc.trials", acc.n_trials)
-        obs_metrics.count(f"mc.stop.{stop_reason}")
-        if clock.elapsed > 0:
-            obs_metrics.gauge("mc.trials_per_s",
-                              acc.n_trials / clock.elapsed)
-        mc_span.set(n_trials=acc.n_trials, stop_reason=stop_reason,
-                    trials_per_s=(acc.n_trials / clock.elapsed
-                                  if clock.elapsed > 0 else 0.0))
+        _close_run(mc_span, clock, acc.n_trials, stop_reason=stop_reason)
 
     lo, hi = acc.interval(confidence)
     return McResult(
@@ -405,13 +402,8 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
         done = 0
         while active.size and done < budget:
             m = min(int(batch_size), budget - done)
-            registry = obs_metrics.current_registry()
-            with obs.span("mc.batch", n=m * active.size):
-                t0 = time.perf_counter()
-                out = dict(grid_fn(done, done + m, active))
-                if registry is not None:
-                    registry.observe("mc.batch_s",
-                                     time.perf_counter() - t0)
+            out = dict(_timed_batch(m * active.size, grid_fn, done,
+                                    done + m, active))
             if target not in out:
                 raise ConfigurationError(
                     f"grid function never produced target metric "
@@ -431,17 +423,9 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
                     else:
                         totals[i][key] = totals[i].get(key, 0) + vals[j]
             done += m
-        n_run = done * active.size
-        obs.counter("mc.trials", n_run)
-        obs_metrics.count("mc.trials", n_run)
         if active.size:
             obs.counter("mc.stop.budget", active.size)
-            obs_metrics.count("mc.stop.budget", active.size)
-        if clock.elapsed > 0:
-            obs_metrics.gauge("mc.trials_per_s", n_run / clock.elapsed)
-        span.set(n_trials=n_run,
-                 trials_per_s=(n_run / clock.elapsed
-                               if clock.elapsed > 0 else 0.0))
+        _close_run(span, clock, done * active.size)
 
     results = []
     for i in range(n_points):

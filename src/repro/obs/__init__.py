@@ -3,9 +3,11 @@
 The observability layer every other subsystem leans on: the campaign
 runner, the adaptive MC engine, the link/relay/coverage simulators and
 the CLI all emit spans and counters through the module-level functions
-here. With no tracer installed (the default) every call is a single
-branch on a process global — simulation hot paths pay effectively
-nothing (see the overhead guard in ``tests/test_obs.py``).
+here. Counts live in one place, the active :class:`MetricsRegistry`;
+a tracer writes its counter deltas into the trace. With no tracer or
+registry installed (the default) every call is a single branch on a
+process global — simulation hot paths pay effectively nothing (see the
+overhead guard in ``tests/test_obs.py``).
 
 Quick use::
 
@@ -83,28 +85,34 @@ def enabled():
 
 
 def set_tracer(tracer):
-    """Install ``tracer`` process-wide (``None`` disables tracing)."""
+    """Install ``tracer`` and its registry process-wide (``None``
+    disables tracing and leaves the active registry in place)."""
     global _TRACER
     _TRACER = tracer
+    if tracer is not None:
+        metrics.set_registry(tracer.registry)
     return tracer
 
 
 @contextmanager
 def use_tracer(tracer):
-    """Install ``tracer`` for the block, then restore and flush.
+    """Install ``tracer`` and its registry for the block, then restore
+    both and flush.
 
     The idiom for scoped tracing — a traced CLI run, a campaign worker
     adopting its per-process tracer — because it guarantees the
-    previous tracer (usually ``None``) comes back even on error, and
-    that buffered events hit the writer before control returns.
+    previous tracer (usually ``None``) and registry come back even on
+    error, and that buffered events hit the writer before control
+    returns. ``use_tracer(None)`` leaves the active registry counting.
     """
     global _TRACER
-    previous = _TRACER
-    _TRACER = tracer
+    previous, registry = _TRACER, metrics.current_registry()
+    set_tracer(tracer)
     try:
         yield tracer
     finally:
         _TRACER = previous
+        metrics.set_registry(registry)
         if tracer is not None:
             tracer.flush()
 
@@ -118,10 +126,11 @@ def span(name, **attrs):
 
 
 def counter(name, n=1):
-    """Bump a counter on the active tracer (no-op when disabled)."""
-    tracer = _TRACER
-    if tracer is not None:
-        tracer.counter(name, n)
+    """Add ``n`` to counter ``name`` in the active registry (the one
+    counting call; a single branch when none is installed)."""
+    registry = metrics._REGISTRY
+    if registry is not None:
+        registry.count(name, n)
 
 
 def event(name, duration_s=0.0, **attrs):

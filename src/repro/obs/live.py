@@ -4,10 +4,10 @@ While a campaign runs, the orchestrating process keeps an atomic,
 always-parseable ``results/<name>/status.json`` up to date: done /
 running / failed / cached point counts, per-worker heartbeats with
 last-seen ages, an EWMA throughput estimate with an ETA, stall
-detection, and merged :mod:`repro.obs.metrics` snapshots (per-point
-wall-time and MC batch-latency histograms). ``repro campaign watch``
-tails this file; the future ``campaign serve`` HTTP API will serve the
-same document.
+detection, and merged :mod:`repro.obs.metrics` snapshots (every counter
+of the run, per-point wall-time and MC batch-latency histograms).
+``repro campaign watch`` tails this file; the future ``campaign serve``
+HTTP API will serve the same document.
 
 The :class:`StatusBoard` is owned by the campaign runner. The runner
 and its queue feed it:

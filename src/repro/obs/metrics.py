@@ -1,21 +1,21 @@
 """Process-wide metric registry: counters, gauges, log-bucket histograms.
 
-Where the tracer (:mod:`repro.obs.tracer`) records *what happened when*
-— a timeline of spans — this module records *how the run is doing right
-now*: monotonic counters (trials executed), gauges (current trials/sec)
-and fixed-log-bucket histograms (per-point wall time, MC batch
-latency). The live status snapshotter (:mod:`repro.obs.live`) ships
+The repo's one store for counts — ``obs.counter(name, n)`` adds to the
+active registry; a tracer (:mod:`repro.obs.tracer`) writes what moved
+as delta events at each flush — plus gauges (current trials/sec) and
+fixed-log-bucket histograms (per-point wall time, MC batch latency).
+The live status snapshotter (:mod:`repro.obs.live`) ships
 :meth:`MetricsRegistry.snapshot` dicts from campaign workers to the
 parent on every heartbeat and folds them into ``status.json``, so a
-long-running campaign exposes its latency distribution *while* it runs
-instead of only in the post-hoc trace report.
+long-running campaign exposes its counters and latency distribution
+*while* it runs instead of only in the post-hoc trace report.
 
 The enablement contract is the tracer's, exactly: a process global that
 defaults to ``None``, module-level accessors that test it once and
-return. With no registry installed every ``metrics.observe(...)`` /
-``metrics.count(...)`` on a simulation hot path costs a single branch —
-the same budget the ``<5%`` disabled-overhead guard in
-``tests/test_obs.py`` enforces for spans and counters.
+return. With no registry installed every ``obs.counter(...)`` /
+``metrics.observe(...)`` / ``metrics.gauge(...)`` on a simulation hot
+path costs a single branch — the budget the ``<5%`` overhead guard in
+``tests/test_obs.py`` enforces.
 
 Histograms use *fixed* log-spaced buckets (``per_decade`` buckets per
 factor of 10 between ``lo`` and ``hi``) rather than adaptive ones so
@@ -26,11 +26,12 @@ bucket at the default 4/decade), which is plenty for a progress view.
 
 Quick use::
 
+    from repro import obs
     from repro.obs import metrics
 
     with metrics.use_registry(metrics.MetricsRegistry()) as reg:
         metrics.observe("point.wall_s", 0.31)
-        metrics.count("trials", 500)
+        obs.counter("trials", 500)
         metrics.gauge("trials_per_s", 1613.0)
     snap = reg.snapshot()          # JSON-safe, mergeable
     merged = metrics.merge_snapshots([snap, other_snap])
@@ -77,7 +78,7 @@ class Histogram:
         self.max = None
 
     def observe(self, value):
-        """Record one sample (non-finite and non-positive clamp low)."""
+        """Record one sample (non-finite dropped, non-positive to bucket 0)."""
         value = float(value)
         if not math.isfinite(value):
             return
@@ -286,13 +287,6 @@ def use_registry(registry):
         yield registry
     finally:
         _REGISTRY = previous
-
-
-def count(name, n=1):
-    """Bump a counter on the active registry (one branch when disabled)."""
-    registry = _REGISTRY
-    if registry is not None:
-        registry.count(name, n)
 
 
 def gauge(name, value):

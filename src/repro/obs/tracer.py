@@ -1,4 +1,4 @@
-"""The tracer: nestable spans, counters, and a near-zero no-op path.
+"""The tracer: nestable spans, counter deltas, and a near-zero no-op path.
 
 A :class:`Tracer` records two event types:
 
@@ -12,13 +12,15 @@ buffered since — child spans and counter deltas — is flushed to disk in
 one append, so a worker that dies mid-campaign loses at most the point
 it was running.
 
-**Counters** — monotonically accumulating named totals
-(``tracer.counter("mc.trials", 500)``). Counters are cheap in-memory
-increments; they reach the trace file as *delta* events at each flush
-and are summed back at read time.
+**Counter deltas** — counts live in the metrics registry
+(:mod:`repro.obs.metrics`; ``obs.counter("mc.trials", 500)``). A
+tracer adopts the registry active when it is built, or makes its own,
+and ``obs.use_tracer`` installs it. Each flush writes one ``counter``
+event per name whose total moved since the last flush, carrying the
+increase; the read side sums them back.
 
-The module-level API in :mod:`repro.obs` dispatches through a process
-global that defaults to ``None``: with tracing disabled,
+The module-level API in :mod:`repro.obs` dispatches through process
+globals that default to ``None``: with tracing disabled,
 ``obs.span(...)`` returns a shared immutable no-op and ``obs.counter``
 is a single attribute test — the instrumented hot paths pay one branch,
 not an allocation (guarded by the overhead test in
@@ -30,6 +32,8 @@ from __future__ import annotations
 import os
 import threading
 import time
+
+from repro.obs import metrics
 
 
 class NullSpan:
@@ -120,7 +124,7 @@ class StopWatch:
 
 
 class Tracer:
-    """Collects spans and counters; optionally persists them as JSONL.
+    """Collects spans and counter deltas; optionally persists as JSONL.
 
     Parameters
     ----------
@@ -133,13 +137,16 @@ class Tracer:
     def __init__(self, writer=None):
         self.writer = writer
         self.pid = os.getpid()
+        #: The counter store: the registry active when built, else its own.
+        self.registry = (metrics.current_registry()
+                         or metrics.MetricsRegistry())
+        self._base = self.registry.snapshot()["counters"]
+        self._flushed = dict(self._base)
         self._lock = threading.Lock()
         self._local = threading.local()
         self._seq = 0
         self._buffer = []
         self._retained = []
-        self._counters = {}
-        self._pending = {}
         self._span_stats = {}
 
     # -- recording -----------------------------------------------------------
@@ -148,17 +155,11 @@ class Tracer:
         """A new (not yet entered) :class:`Span` under the current one."""
         return Span(self, name, attrs)
 
-    def counter(self, name, n=1):
-        """Add ``n`` to the named counter (thread-safe)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-            self._pending[name] = self._pending.get(name, 0) + n
-
     def event(self, name, duration_s=0.0, **attrs):
         """Record an already-measured span in one call.
 
         For intervals the caller timed itself — e.g. the campaign
-        runner's submit-to-finish latency of a pool future, which no
+        runner's submit-to-finish latency of a queued point, which no
         single ``with`` block can bracket because many points are in
         flight at once. The event nests under the calling thread's
         current span.
@@ -233,19 +234,19 @@ class Tracer:
     # -- output --------------------------------------------------------------
 
     def _flush_locked(self):
-        if self._pending:
-            now = time.time()
-            for name in sorted(self._pending):
-                self._seq += 1
-                self._buffer.append({
-                    "type": "counter",
-                    "name": name,
-                    "pid": self.pid,
-                    "seq": self._seq,
-                    "t_wall": now,
-                    "value": self._pending[name],
-                })
-            self._pending = {}
+        totals = self.registry.snapshot()["counters"]
+        now = time.time()
+        for name, value in _moved(totals, self._flushed).items():
+            self._seq += 1
+            self._buffer.append({
+                "type": "counter",
+                "name": name,
+                "pid": self.pid,
+                "seq": self._seq,
+                "t_wall": now,
+                "value": value,
+            })
+        self._flushed = totals
         if self.writer is not None:
             if self._buffer:
                 self.writer.write(self._buffer)
@@ -277,15 +278,24 @@ class Tracer:
         """Aggregated telemetry for programmatic use.
 
         Returns ``{"spans": {name: {"count", "total_s", "max_s"}},
-        "counters": {name: total}}`` built from this process's tracer
-        memory — no trace file needed, so it works for in-memory
-        tracers too (``repro link --trace`` renders exactly this).
+        "counters": {name: total}}`` — counted since the tracer was
+        built — from this process's tracer memory and registry: no trace
+        file needed, so it works for in-memory tracers too (``repro link
+        --trace`` renders exactly this).
         """
+        counters = _moved(self.registry.snapshot()["counters"], self._base)
         with self._lock:
             return {
                 "spans": {
                     name: {"count": c, "total_s": t, "max_s": m}
                     for name, (c, t, m) in sorted(self._span_stats.items())
                 },
-                "counters": dict(sorted(self._counters.items())),
+                "counters": counters,
             }
+
+
+def _moved(totals, since):
+    """``{name: increase}`` for each counter whose total moved since."""
+    return {name: total - since.get(name, 0)
+            for name, total in sorted(totals.items())
+            if since.get(name) != total}

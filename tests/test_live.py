@@ -16,7 +16,9 @@ import pytest
 
 from repro.campaign import CampaignSpec, ResultsStore, run_campaign
 from repro.campaign.runner import register_point_kind
+from repro.core.mc import run_trials
 from repro.errors import ConfigurationError
+from repro import obs
 from repro.obs import live
 from repro.obs import metrics
 from repro.obs.live import StatusBoard
@@ -99,14 +101,14 @@ class TestRegistry:
 
     def test_module_dispatch_is_noop_without_registry(self):
         assert metrics.current_registry() is None
-        metrics.count("ghost", 5)
+        obs.counter("ghost", 5)
         metrics.gauge("ghost", 1.0)
         metrics.observe("ghost", 0.5)
         assert metrics.current_registry() is None
 
     def test_use_registry_scopes_and_restores(self):
         with metrics.use_registry(metrics.MetricsRegistry()) as reg:
-            metrics.count("inside")
+            obs.counter("inside")
             assert metrics.enabled()
         assert not metrics.enabled()
         assert reg.snapshot()["counters"] == {"inside": 1}
@@ -269,6 +271,14 @@ def _slow_draw_point(params, rng):
     return {"draw": float(rng.integers(0, 1 << 30))}
 
 
+def _mc_point(params, rng):
+    """A point that counts in its worker: 50 MC trials."""
+    result = run_trials(lambda g, m: {"hit": int(g.integers(0, m + 1))},
+                        n_trials=50, target="hit", rng=rng,
+                        batch_size=25, vectorized=True)
+    return {"rate": result.estimate}
+
+
 def _die_holding_lease_point(params, rng):
     """First visit to ``die_at`` kills the worker mid-unit (see
     tests/test_queue.py); the flag file lets the requeued retry pass."""
@@ -283,6 +293,7 @@ def _die_holding_lease_point(params, rng):
 
 
 register_point_kind("test-live-slow", _slow_draw_point, code_version="1")
+register_point_kind("test-live-mc", _mc_point, code_version="1")
 register_point_kind("test-live-die", _die_holding_lease_point,
                     code_version="1")
 
@@ -333,6 +344,23 @@ class TestLiveStatusEndToEnd:
         assert doc["points"]["failed"] == 0
         assert doc["points"]["remaining"] == 0
         assert store.count("live-stall") == 8
+
+    def test_status_counters_equal_trace_counters(self, tmp_path):
+        """One counter store per process: the final status.json carries
+        every counter the merged trace does, with the same totals."""
+        store = ResultsStore(tmp_path / "r")
+        spec = CampaignSpec(name="live-counted", kind="test-live-mc",
+                            factors={"x": list(range(6))}, base_seed=7)
+        result = run_campaign(spec, workers=2, store=store, trace=True,
+                              heartbeat_s=0.1)
+        assert result.n_failed == 0
+        traced = obs.aggregate(obs.read_trace(
+            result.extras["trace_path"]))["counters"]
+        doc = live.read_status(store.status_path("live-counted"))
+        assert doc["metrics"]["counters"] == traced
+        assert traced["campaign.cache.miss"] == 6
+        assert traced["campaign.queue.lease"] >= 1
+        assert traced["mc.trials"] == 6 * 50
 
     def test_status_observable_mid_run(self, tmp_path):
         """A watcher polling status.json during the run sees live

@@ -2,13 +2,17 @@
 
 import json
 import os
+import sys
+import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.mc import run_trials
+from repro.obs import metrics
 from repro.errors import ConfigurationError
 
 
@@ -65,12 +69,51 @@ class TestSpans:
         assert event["attrs"]["error"] == "ValueError"
 
     def test_counters_accumulate(self):
+        """A tracer reports what was counted after it was built, in its
+        summary and as trace deltas — over its own registry, or over the
+        one active when it was built (whose earlier counts stay out)."""
+        for registry in (None, metrics.MetricsRegistry()):
+            with metrics.use_registry(registry):
+                obs.counter("hits", 7)
+                tracer = obs.Tracer()
+                with obs.use_tracer(tracer):
+                    obs.counter("hits")
+                    obs.counter("hits", 4)
+                    obs.counter("misses", 2)
+            assert tracer.summary()["counters"] == {"hits": 5, "misses": 2}
+            assert obs.aggregate(tracer.drain())["counters"] == {
+                "hits": 5, "misses": 2}
+        assert tracer.registry is registry
+        assert registry.snapshot()["counters"] == {"hits": 12, "misses": 2}
+
+    def test_concurrent_counts_and_flushes_lose_nothing(self):
+        """Counting threads race a flushing thread (a worker heartbeat
+        does this); every count reaches the trace exactly once."""
         tracer = obs.Tracer()
-        with obs.use_tracer(tracer):
-            obs.counter("hits")
-            obs.counter("hits", 4)
-            obs.counter("misses", 2)
-        assert tracer.summary()["counters"] == {"hits": 5, "misses": 2}
+        n_threads, n_counts = 4, 2000
+
+        def count():
+            for _ in range(n_counts):
+                obs.counter("n")
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.use_tracer(tracer):
+                threads = [threading.Thread(target=count)
+                           for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                while any(thread.is_alive() for thread in threads):
+                    tracer.flush()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        expected = {"n": n_threads * n_counts}
+        assert obs.aggregate(tracer.drain())["counters"] == expected
+        assert tracer.summary()["counters"] == expected
 
     def test_event_is_premeasured_span(self):
         tracer = obs.Tracer()
@@ -106,50 +149,69 @@ class TestDisabledPath:
         tracer = obs.Tracer()
         with obs.use_tracer(tracer):
             assert obs.current_tracer() is tracer
+            assert metrics.current_registry() is tracer.registry
             with obs.use_tracer(None):
                 assert not obs.enabled()
+                # Spans are off, but the registry keeps counting.
+                assert metrics.current_registry() is tracer.registry
+                obs.counter("untraced")
             assert obs.current_tracer() is tracer
         assert obs.current_tracer() is None
+        assert metrics.current_registry() is None
+        assert tracer.summary()["counters"] == {"untraced": 1}
 
-    def test_disabled_overhead_under_5_percent(self):
-        """The acceptance bound: tracing off must not slow run_trials."""
-        def batch(rng, m):
-            return {"hit": int(rng.integers(0, m + 1))}
+    def test_disabled_overhead_under_5_percent(self, monkeypatch):
+        """The acceptance bound: with no tracer or registry installed,
+        the engine's spans, counts, gauges and batch timers must not
+        slow run_trials. Compares run_trials as shipped against
+        run_trials with those hooks stubbed to no-ops."""
+        from repro.core.mc import engine
 
-        def timed_run():
-            t0 = time.perf_counter()
-            run_trials(batch, n_trials=20000, target="hit", rng=1,
-                       batch_size=200, vectorized=True)
-            return time.perf_counter() - t0
-
-        timed_run()  # warm-up: imports, allocator, branch caches
-        baseline = min(timed_run() for _ in range(3))
-        with_noop = min(timed_run() for _ in range(3))
-        # Both runs take the disabled path; they must be statistically
-        # indistinguishable. Generous 2x-of-bound margin absorbs jitter.
-        assert with_noop <= baseline * 1.10
-
-    def test_disabled_metrics_share_the_overhead_budget(self):
-        """The PR-9 metrics registry rides the same one-branch contract:
-        with no registry installed, the engine's per-batch observe and
-        end-of-run count/gauge calls must not slow run_trials."""
-        from repro.obs import metrics
-
+        assert not obs.enabled()
         assert metrics.current_registry() is None
 
+        class NullWatch:
+            seconds = elapsed = 1.0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        def noop(*args, **kwargs):
+            return None
+
+        stub = SimpleNamespace(
+            span=lambda name, **attrs: obs.NULL_SPAN, timed=NullWatch,
+            counter=noop, event=noop, gauge=noop, observe=noop)
+
         def batch(rng, m):
             return {"hit": int(rng.integers(0, m + 1))}
 
-        def timed_run():
-            t0 = time.perf_counter()
-            run_trials(batch, n_trials=20000, target="hit", rng=1,
-                       batch_size=200, vectorized=True)
-            return time.perf_counter() - t0
+        def timed_run(stubbed):
+            with monkeypatch.context() as patch:
+                if stubbed:
+                    patch.setattr(engine, "obs", stub)
+                    patch.setattr(engine, "obs_metrics", stub)
+                # CPU time, not wall time: time the scheduler gives to
+                # other processes stays out.
+                t0 = time.process_time()
+                run_trials(batch, n_trials=150_000, target="hit", rng=1,
+                           batch_size=200, vectorized=True)
+                return time.process_time() - t0
 
-        timed_run()
-        baseline = min(timed_run() for _ in range(3))
-        again = min(timed_run() for _ in range(3))
-        assert again <= baseline * 1.10
+        timed_run(False)  # warm-up: imports, allocator, branch caches
+        timed_run(True)
+        shipped, bare = [], []
+        for _ in range(15):  # interleaved, so drift hits both alike
+            shipped.append(timed_run(False))
+            bare.append(timed_run(True))
+        # Each pair ran back to back, so a burst of load elsewhere hits
+        # both of its runs; the median pair ratio shrugs off the bursts.
+        # Generous 2x-of-bound margin absorbs the remaining jitter.
+        ratios = sorted(a / b for a, b in zip(shipped, bare))
+        assert ratios[len(ratios) // 2] <= 1.10, ratios
 
 
 class TestWriterAndMerge:
